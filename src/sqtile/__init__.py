@@ -66,15 +66,27 @@ from .dehn import (
     verify_certificate,
 )
 from .construct import ContinuedFraction, continued_fraction, euclid_tiling
-from .cli import (
-    DEFAULT_ENCLOSURES,
-    TilingDocument,
-    build_tiling,
-    document_from_tiling,
-    parse_document,
-    render_svg,
-    run_command,
-    serialize_document,
-)
+# The CLI names load on first use (PEP 562), so importing the library
+# does not import argparse and json, and ``python -m sqtile.cli`` runs
+# cli.py only once.
+_CLI_NAMES = frozenset({
+    "DEFAULT_ENCLOSURES",
+    "TilingDocument",
+    "build_tiling",
+    "document_from_tiling",
+    "parse_document",
+    "render_svg",
+    "run_command",
+    "serialize_document",
+})
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

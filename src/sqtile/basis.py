@@ -48,6 +48,7 @@ class Basis:
         self.inputs = tuple(inputs)
         self.input_coords = tuple(tuple(v) for v in input_coords)
         self.has_t0 = has_t0
+        self._known = dict(zip(self.inputs, self.input_coords))
 
     def __len__(self):
         return len(self.elements)
@@ -60,8 +61,12 @@ class Basis:
         """Unique coordinates of ``p`` over ``elements``.
 
         Raises NotInSpan if ``p`` is not a rational combination of the
-        basis elements.
+        basis elements.  Extraction inputs are answered from
+        ``input_coords``.
         """
+        known = self._known.get(p)
+        if known is not None:
+            return known
         residue = p.coeff_vector()
         acc = [Fraction(0)] * len(self.elements)
         for row in self._rows:

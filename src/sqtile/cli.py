@@ -28,6 +28,7 @@ from .exactnum import (
     format_expr,
     parse_expr,
     parse_rational,
+    rational_text,
     sqrt2_expr_to_num,
 )
 from .hamel import Contradiction, analyze_good_squares
@@ -109,6 +110,8 @@ def parse_document(text) -> TilingDocument:
         raise DocumentError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except ValueError as exc:  # a JSON number past sys.get_int_max_str_digits() digits
+        raise DocumentError("invalid JSON: a number has too many digits") from exc
 
     _expect(isinstance(raw, dict), "document must be a JSON object")
     unknown = set(raw) - {"generators", "outer", "tiles"}
@@ -201,7 +204,8 @@ def build_tiling(doc: TilingDocument, overrides=()):
 def document_from_tiling(t: Tiling) -> TilingDocument:
     """The canonical document for an in-memory tiling."""
     gens = tuple(
-        GeneratorDecl(g.symbol, str(g.lo), str(g.hi)) for g in t.table.generators
+        GeneratorDecl(g.symbol, rational_text(g.lo), rational_text(g.hi))
+        for g in t.table.generators
     )
     tiles = tuple(
         TileDecl(format_expr(p.x), format_expr(p.y), format_expr(p.w), format_expr(p.h))
@@ -354,7 +358,7 @@ def _cmd_decide(args):
     payload["width"] = args.width
     payload["height"] = args.height
     if verdict.tilable:
-        lines = [f"tilable: height/width = {verdict.ratio}"]
+        lines = [f"tilable: height/width = {rational_text(verdict.ratio)}"]
         return EXIT_OK, payload, lines
     cert = verdict.certificate
     lines = [
@@ -386,7 +390,7 @@ def _cmd_verify(args):
         raise AmbiguousComparison(str(report))
     not_square = [i for i, p in enumerate(t.tiles) if not is_square(p)]
     if report.is_valid and not not_square:
-        payload = {"verdict": "confirmed", "ratio": str(verdict.ratio)}
+        payload = {"verdict": "confirmed", "ratio": rational_text(verdict.ratio)}
         return EXIT_OK, payload, ["confirmed: a valid square tiling"]
     payload = {
         "verdict": "refuted",
@@ -425,9 +429,10 @@ def _cmd_analyze_good(args):
     h = to_num(args.height)
     sides = [to_num(s) for s in args.side]
     analysis = analyze_good_squares(sides, w, h)
-    payload = {"analysis": analysis.as_dict()}
+    report = analysis.as_dict()
+    payload = {"analysis": report}
     lines = [
-        f"A = {analysis.A}, B = {analysis.B}, C = {analysis.C}",
+        f"A = {report['A']}, B = {report['B']}, C = {report['C']}",
         f"area identity holds: {analysis.area_identity_holds}",
         f"contradiction: {analysis.contradiction.value}",
     ]
@@ -441,7 +446,10 @@ def _cmd_render(args):
         # apply overrides by rebuilding the document's generator list
         table = _build_table(doc, [_parse_gen_flag(s) for s in args.gen])
         doc = TilingDocument(
-            tuple(GeneratorDecl(g.symbol, str(g.lo), str(g.hi)) for g in table.generators),
+            tuple(
+                GeneratorDecl(g.symbol, rational_text(g.lo), rational_text(g.hi))
+                for g in table.generators
+            ),
             doc.outer_w,
             doc.outer_h,
             doc.tiles,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .basis import commensurability_ratio, extract_basis
 from .errors import AmbiguousComparison, NotInSpan
-from .exactnum import LinExpr
+from .exactnum import LinExpr, rational_text
 from .hamel import y_area
 from .tiling import Tiling, is_square, validate
 
@@ -45,19 +45,21 @@ class Certificate:
 
     def __post_init__(self):
         if self.y >= 0:
-            raise ValueError(f"certificate y must be negative, got {self.y}")
+            raise ValueError(f"certificate y must be negative, got {rational_text(self.y)}")
 
     @property
     def statement(self) -> str:
+        y = rational_text(self.y)
         return (
-            f"at y = {self.y} the outer rectangle's basis-relative area equals "
-            f"{self.y} < 0, while every square's is a square of a rational, "
+            f"at y = {y} the outer rectangle's basis-relative area equals "
+            f"{y} < 0, while every square's is a square of a rational, "
             "hence nonnegative; a square tiling would sum nonnegative numbers "
             "to a negative one"
         )
 
     def as_dict(self) -> dict:
-        return {"y": str(self.y), "outer_y_area": str(self.y), "statement": self.statement}
+        y = rational_text(self.y)
+        return {"y": y, "outer_y_area": y, "statement": self.statement}
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +72,7 @@ class Verdict:
 
     def as_dict(self) -> dict:
         if self.tilable:
-            return {"verdict": "tilable", "ratio": str(self.ratio)}
+            return {"verdict": "tilable", "ratio": rational_text(self.ratio)}
         return {"verdict": "not_tilable", "certificate": self.certificate.as_dict()}
 
 
@@ -137,7 +139,7 @@ def refute_square_tiling(t: Tiling, *, y=DEFAULT_CERTIFICATE_Y) -> Refutation:
     verdict = decide(t.outer_w, t.outer_h, y=y)
     if verdict.tilable:
         raise ValueError(
-            f"outer sides are commensurable (ratio {verdict.ratio}); "
+            f"outer sides are commensurable (ratio {rational_text(verdict.ratio)}); "
             "nothing to refute, use the constructive path"
         )
     y = Fraction(y)
@@ -169,7 +171,11 @@ def refute_square_tiling(t: Tiling, *, y=DEFAULT_CERTIFICATE_Y) -> Refutation:
     if outer != total:
         return Refutation(
             RefutationKind.ADDITIVITY_VIOLATED,
-            {"y": str(y), "outer_y_area": str(outer), "tile_y_area_sum": str(total)},
+            {
+                "y": rational_text(y),
+                "outer_y_area": rational_text(outer),
+                "tile_y_area_sum": rational_text(total),
+            },
         )
 
     raise RuntimeError(

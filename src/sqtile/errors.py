@@ -12,6 +12,15 @@ class AmbiguousComparison(SqtileError):
     declared generator enclosures; declare tighter lo/hi brackets and retry.
     """
 
+    @classmethod
+    def overlap(cls, a, b) -> "AmbiguousComparison":
+        """The error for ordering ``a`` against ``b`` when the enclosure of
+        ``a - b`` contains zero."""
+        return cls(
+            f"cannot order {a} against {b}: enclosures overlap; "
+            "declare tighter generator enclosures"
+        )
+
 
 class TableMismatch(SqtileError):
     """Expressions over different generator tables were combined."""
@@ -24,7 +33,9 @@ class CommensurableSides(SqtileError):
     """
 
     def __init__(self, ratio):
-        super().__init__(f"sides are commensurable with ratio {ratio}")
+        from .exactnum import rational_text  # exactnum imports this module
+
+        super().__init__(f"sides are commensurable with ratio {rational_text(ratio)}")
         self.ratio = ratio
 
 

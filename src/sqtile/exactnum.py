@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import AmbiguousComparison, DocumentError, TableMismatch
@@ -33,11 +34,23 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(s):
         raise DocumentError("malformed rational", token=text)
     num, _, den = s.partition("/")
-    if den:
-        if int(den) == 0:
-            raise DocumentError("rational with zero denominator", token=text)
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # past sys.get_int_max_str_digits() digits
+        raise DocumentError("rational has too many digits", token=text) from None
+    if den == 0:
+        raise DocumentError("rational with zero denominator", token=text)
+    return Fraction(num, den)
+
+
+def rational_text(value) -> str:
+    """Exact text of a rational, the same bytes as ``str(Fraction)``, at
+    any number of digits."""
+    q = _as_fraction(value)
+    # str(int) refuses numbers past sys.get_int_max_str_digits() digits;
+    # Decimal(int) converts exactly and has no such limit.
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{str(Decimal(q.denominator))}"
 
 
 def _as_fraction(value) -> Fraction:
@@ -208,11 +221,11 @@ class Sqrt2Num:
 
     def __str__(self):
         if self.b == 0:
-            return str(self.a)
+            return rational_text(self.a)
         if self.a == 0:
-            return f"{self.b}*sqrt2"
+            return f"{rational_text(self.b)}*sqrt2"
         op = "-" if self.b < 0 else "+"
-        return f"{self.a} {op} {abs(self.b)}*sqrt2"
+        return f"{rational_text(self.a)} {op} {rational_text(abs(self.b))}*sqrt2"
 
 
 SQRT2 = Sqrt2Num(0, 1)
@@ -380,9 +393,11 @@ class LinExpr:
     Stored sparsely as (generator index, nonzero coefficient) pairs;
     equality and hashing are coefficient-map (plus table) equality.
     Arithmetic is exact and only mixes expressions over the same table.
+    The hash and the enclosure are computed on first use and kept in
+    write-once slots; the value itself never changes.
     """
 
-    __slots__ = ("table", "_items")
+    __slots__ = ("table", "_items", "_hash", "_enclosure")
 
     def __init__(self, table: GeneratorTable, coeffs=None):
         items = []
@@ -396,6 +411,8 @@ class LinExpr:
                     items.append((idx, c))
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_items", tuple(items))
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_enclosure", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinExpr is immutable")
@@ -443,7 +460,7 @@ class LinExpr:
         return self.coeff(0)
 
     def _check_table(self, other: "LinExpr"):
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise TableMismatch("expressions belong to different generator tables")
 
     def __add__(self, other):
@@ -490,13 +507,20 @@ class LinExpr:
         return self.table == other.table and self._items == other._items
 
     def __hash__(self):
-        return hash(self._items)
+        h = self._hash
+        if h is None:
+            h = hash(self._items)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def eval_interval(self) -> Interval:
         """Certified enclosure of the real value, exact for constants."""
-        out = Interval.point(0)
-        for i, c in self._items:
-            out = out + self.table.enclosure(i).scale(c)
+        out = self._enclosure
+        if out is None:
+            out = Interval.point(0)
+            for i, c in self._items:
+                out = out + self.table.enclosure(i).scale(c)
+            object.__setattr__(self, "_enclosure", out)
         return out
 
     def midpoint(self) -> Fraction:
@@ -509,18 +533,28 @@ class LinExpr:
         Equal iff the coefficient maps coincide; otherwise the sign of
         the difference's enclosure decides.  Raises AmbiguousComparison
         when the enclosure of the difference still contains zero.
+
+        Disjoint enclosures of the two sides already settle the sign: the
+        difference's enclosure lies inside their interval difference.
+        Only overlapping pairs build the difference.
         """
         if isinstance(other, (int, Fraction)):
             other = LinExpr.constant(self.table, other)
         self._check_table(other)
         if self._items == other._items:
             return EQUAL
+        a, b = self._enclosure, other._enclosure
+        if a is None:
+            a = self.eval_interval()
+        if b is None:
+            b = other.eval_interval()
+        if a.lo > b.hi:
+            return GREATER
+        if a.hi < b.lo:
+            return LESS
         sign = (self - other).eval_interval().sign()
         if sign == 0:
-            raise AmbiguousComparison(
-                f"cannot order {self} against {other}: enclosures overlap; "
-                "declare tighter generator enclosures"
-            )
+            raise AmbiguousComparison.overlap(self, other)
         return sign
 
     def __str__(self):
@@ -646,10 +680,9 @@ def format_expr(e: LinExpr) -> str:
         return "0"
     parts = []
     for idx, c in e._items:
-        if idx == 0:
-            body = str(abs(c))
-        else:
-            body = f"{abs(c)}*{e.table.symbol(idx)}"
+        body = rational_text(abs(c))
+        if idx != 0:
+            body = f"{body}*{e.table.symbol(idx)}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .basis import Basis
 from .errors import InvalidTiling
-from .exactnum import Sqrt2Num, LinExpr
+from .exactnum import LinExpr, Sqrt2Num, rational_text
 from .tiling import Tiling, validate
 
 __all__ = [
@@ -133,9 +133,9 @@ class GoodSquareAnalysis:
 
     def as_dict(self) -> dict:
         return {
-            "A": str(self.A),
-            "B": str(self.B),
-            "C": str(self.C),
+            "A": rational_text(self.A),
+            "B": rational_text(self.B),
+            "C": rational_text(self.C),
             "area_identity_holds": self.area_identity_holds,
             "contradiction": self.contradiction.value,
         }

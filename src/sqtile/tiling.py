@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .errors import AmbiguousComparison, GridInconsistent
-from .exactnum import GeneratorTable, LinExpr, lin_cmp
+from .exactnum import GeneratorTable, LinExpr
 
 __all__ = [
     "Placement",
@@ -153,70 +153,83 @@ def is_square(p: Placement) -> bool:
     return p.w == p.h
 
 
-def _sorted_cuts(values):
-    """Symbolically dedupe then sort by certified comparison."""
-    unique = {}
-    for v in values:
-        unique.setdefault(v, v)
-    cuts = sorted(unique.values(), key=functools.cmp_to_key(lin_cmp))
-    return cuts
-
-
-def _grid_indices(t: Tiling):
-    """Cut lists plus each tile's cell-index block; assumes bounds hold."""
-    zero = LinExpr.zero(t.table)
-    x_cuts = _sorted_cuts(
-        [zero, t.outer_w] + [v for p in t.tiles for v in (p.x, p.right)]
-    )
-    y_cuts = _sorted_cuts(
-        [zero, t.outer_h] + [v for p in t.tiles for v in (p.y, p.top)]
-    )
-    x_index = {v: i for i, v in enumerate(x_cuts)}
-    y_index = {v: i for i, v in enumerate(y_cuts)}
-    blocks = [
-        (x_index[p.x], x_index[p.right], y_index[p.y], y_index[p.top]) for p in t.tiles
-    ]
-    return x_cuts, y_cuts, blocks
-
-
-def _side_failures(t: Tiling):
+def _side_failures(t: Tiling, zero, outer_w, outer_h, edges):
     """Nonpositive-side and out-of-bounds failures, by certified comparison."""
     failures = []
-    zero = LinExpr.zero(t.table)
 
-    def sign_of(e, what, tiles):
+    def sign_of(hi, lo, what, tiles):
+        """Certified sign of hi - lo; an ambiguity becomes a failure."""
         try:
-            return e.cmp(zero)
-        except AmbiguousComparison as exc:
-            failures.append(Failure("ambiguous", tiles=tiles, witness={"detail": str(exc), "where": what}))
+            return hi.cmp(lo)
+        except AmbiguousComparison:
+            # worded as the sign of the difference, as the check is stated
+            detail = str(AmbiguousComparison.overlap(hi - lo, zero))
+            failures.append(Failure("ambiguous", tiles=tiles, witness={"detail": detail, "where": what}))
             return None
 
-    for name, e in (("outer_w", t.outer_w), ("outer_h", t.outer_h)):
-        s = sign_of(e, name, ())
+    for name, e in (("outer_w", outer_w), ("outer_h", outer_h)):
+        s = sign_of(e, zero, name, ())
         if s is not None and s <= 0:
             failures.append(Failure("nonpositive_side", witness={"side": name, "value": e}))
-    for i, p in enumerate(t.tiles):
+    for i, (p, (x, right, y, top)) in enumerate(zip(t.tiles, edges)):
+        before = len(failures)
         for name, e in (("w", p.w), ("h", p.h)):
-            s = sign_of(e, f"tile {i} {name}", (i,))
+            s = sign_of(e, zero, f"tile {i} {name}", (i,))
             if s is not None and s <= 0:
                 failures.append(
                     Failure("nonpositive_side", tiles=(i,), witness={"side": name, "value": e})
                 )
         # bounds only meaningful for tiles with certified positive sides
-        if any(f.tiles == (i,) for f in failures):
+        if len(failures) > before:
             continue
         for cond, lo, hi in (
-            ("x >= 0", zero, p.x),
-            ("y >= 0", zero, p.y),
-            ("right <= outer_w", p.right, t.outer_w),
-            ("top <= outer_h", p.top, t.outer_h),
+            ("x >= 0", zero, x),
+            ("y >= 0", zero, y),
+            ("right <= outer_w", right, outer_w),
+            ("top <= outer_h", top, outer_h),
         ):
-            s = sign_of(hi - lo, f"tile {i} {cond}", (i,))
+            s = sign_of(hi, lo, f"tile {i} {cond}", (i,))
             if s is not None and s < 0:
                 failures.append(
                     Failure("out_of_bounds", tiles=(i,), witness={"constraint": cond, "x": p.x, "y": p.y})
                 )
     return failures
+
+
+def _layout(t: Tiling):
+    """Side and bounds checks, then the sorted cuts and each tile's block.
+
+    Every tile's right and top edge is built once, and equal cut values
+    share one object, so each distinct value's enclosure is evaluated
+    once.  Returns (failures, None) when a check fails, else
+    ([], (x_cuts, y_cuts, blocks)); AmbiguousComparison from sorting the
+    cuts propagates.
+    """
+    zero = LinExpr.zero(t.table)
+    xs = {zero: zero}
+    ys = {zero: zero}
+    outer_w = xs.setdefault(t.outer_w, t.outer_w)
+    outer_h = ys.setdefault(t.outer_h, t.outer_h)
+    edges = []
+    for p in t.tiles:
+        right, top = p.right, p.top
+        edges.append((
+            xs.setdefault(p.x, p.x),
+            xs.setdefault(right, right),
+            ys.setdefault(p.y, p.y),
+            ys.setdefault(top, top),
+        ))
+    failures = _side_failures(t, zero, outer_w, outer_h, edges)
+    if failures:
+        return failures, None
+
+    certified = functools.cmp_to_key(LinExpr.cmp)
+    x_cuts = sorted(xs, key=certified)
+    y_cuts = sorted(ys, key=certified)
+    x_index = {v: i for i, v in enumerate(x_cuts)}
+    y_index = {v: i for i, v in enumerate(y_cuts)}
+    blocks = [(x_index[x], x_index[r], y_index[y], y_index[top]) for x, r, y, top in edges]
+    return [], (x_cuts, y_cuts, blocks)
 
 
 def validate(t: Tiling) -> ValidationReport:
@@ -226,14 +239,13 @@ def validate(t: Tiling) -> ValidationReport:
     comparison becomes a failure of kind "ambiguous" (tighten the
     generator enclosures and retry).
     """
-    failures = _side_failures(t)
-    if failures:
-        return ValidationReport(tuple(failures))
-
     try:
-        x_cuts, y_cuts, blocks = _grid_indices(t)
+        failures, grid = _layout(t)
     except AmbiguousComparison as exc:
         return ValidationReport((Failure("ambiguous", witness={"detail": str(exc)}),))
+    if failures:
+        return ValidationReport(tuple(failures))
+    x_cuts, y_cuts, blocks = grid
 
     nx, ny = len(x_cuts) - 1, len(y_cuts) - 1
     owners = [[[] for _ in range(ny)] for _ in range(nx)]
@@ -260,14 +272,14 @@ def refine(t: Tiling) -> RefinedGrid:
     rectangle) must hold; a cell covered zero or multiple times raises
     GridInconsistent, and AmbiguousComparison propagates.
     """
-    side = _side_failures(t)
+    side, grid = _layout(t)
     for f in side:
         if f.kind == "ambiguous":
             raise AmbiguousComparison(f.witness.get("detail", "ambiguous comparison"))
     if side:
         raise GridInconsistent(f"placement invariants violated: {side[0].kind}")
 
-    x_cuts, y_cuts, blocks = _grid_indices(t)
+    x_cuts, y_cuts, blocks = grid
     nx, ny = len(x_cuts) - 1, len(y_cuts) - 1
     owner = [[-1] * ny for _ in range(nx)]
     for idx, (ix0, ix1, iy0, iy1) in enumerate(blocks):

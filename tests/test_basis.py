@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sqtile import (
     CommensurableSides,
@@ -91,6 +93,14 @@ def test_commensurable_sides_error(table):
     with pytest.raises(CommensurableSides) as exc:
         extract_basis([one, LinExpr.constant(table, Fraction(3, 2))])
     assert exc.value.ratio == Fraction(3, 2)
+
+
+def test_commensurable_sides_error_past_int_digit_limit(table):
+    ratio = Fraction(10**5000 + 1, 3)
+    with pytest.raises(CommensurableSides) as exc:
+        extract_basis([LinExpr.constant(table, 1), LinExpr.constant(table, ratio)])
+    assert exc.value.ratio == ratio
+    assert str(exc.value).endswith("0001/3")
 
 
 def test_relaxed_extraction_for_commensurable_sides(table):
@@ -196,3 +206,34 @@ def test_perturbed_coordinates_break_reconstruction(table):
             bumped = list(coords)
             bumped[k] += 1
             assert basis.combine(bumped) != p
+
+
+# Positive coefficients keep every length certified positive.  sqrt7 is
+# declared but never used by a side, so lengths involving it lie outside
+# every extracted span.
+SPAN_TABLE = tight_table(2, 3, 5, 7)
+positive_sides = st.lists(
+    st.builds(
+        lambda cs: LinExpr(SPAN_TABLE, dict(enumerate(cs))),
+        st.lists(st.fractions(min_value=0, max_value=5, max_denominator=6), min_size=4, max_size=4),
+    ).filter(lambda e: not e.is_zero),
+    min_size=2,
+    max_size=8,
+)
+
+
+@given(positive_sides, st.data())
+def test_coords_of_inputs_sums_and_outside_lengths(sides, data):
+    basis = extract_basis(sides, require_incommensurable=False)
+    for p, coords in zip(basis.inputs, basis.input_coords):
+        assert basis.coords(p) == coords
+    p = data.draw(st.sampled_from(sides))
+    q = data.draw(st.sampled_from(sides))
+    total = basis.coords(p + q)
+    assert total == tuple(a + b for a, b in zip(basis.coords(p), basis.coords(q)))
+    assert basis.combine(total) == p + q
+    outside = LinExpr.of_symbol(SPAN_TABLE, "sqrt7")
+    with pytest.raises(NotInSpan):
+        basis.coords(outside)
+    with pytest.raises(NotInSpan):
+        basis.coords(p + outside)

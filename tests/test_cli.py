@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sqtile
 from sqtile import (
     AmbiguousComparison,
     Certificate,
@@ -359,3 +365,63 @@ def test_cli_gen_flag_validation(capsys):
     assert run(capsys, "decide", "--width", "1*g", "--height", "1", "--gen", "g=1,2")[0] == 2
     assert run(capsys, "decide", "--width", "1*g", "--height", "1", "--gen", "g=[1]")[0] == 2
     assert run(capsys, "decide", "--width", "1*g", "--height", "1", "--gen", "g=[-1,1]")[0] == 2
+
+
+def _python(*args):
+    """Run a fresh interpreter with this package importable."""
+    src = str(Path(sqtile.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_cli_module_run_has_clean_stderr():
+    proc = _python("-m", "sqtile.cli", "decide", "--width", "1", "--height", "2")
+    assert proc.returncode == 0
+    assert proc.stdout == "tilable: height/width = 2\n"
+    assert proc.stderr == ""
+
+
+def test_import_leaves_cli_unloaded():
+    proc = _python("-c", "import sys, sqtile; print('sqtile.cli' in sys.modules)")
+    assert proc.stdout == "False\n"
+    from sqtile import cli, run_command
+
+    assert run_command is cli.run_command and sqtile.render_svg is cli.render_svg
+    with pytest.raises(AttributeError):
+        sqtile.no_such_name
+
+
+def test_cli_analyze_good_output_past_int_digit_limit(capsys):
+    a = int("7" * 3000)
+    code, out = run(
+        capsys,
+        "analyze-good",
+        "--width", "1",
+        "--height", "1 + 1*sqrt2",
+        "--side", f"{a} + 1*sqrt2",
+        "--format", "json",
+    )
+    assert code == 1
+    analysis = json.loads(out)["analysis"]
+    assert Decimal(analysis["A"]) == a * a
+    assert analysis["B"] == "1"
+    assert Decimal(analysis["C"]) == a
+    assert analysis["contradiction"] == "area_mismatch"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no int digit limit",
+)
+def test_cli_inputs_past_int_digit_limit_are_input_errors(tmp_path, capsys):
+    big = "1" * (sys.get_int_max_str_digits() + 1)
+    code, out = run(capsys, "decide", "--width", big, "--height", "1", "--format", "json")
+    assert code == 2
+    detail = json.loads(out)["detail"]
+    assert detail.startswith("rational has too many digits (near '111")
+    doc = tmp_path / "big.tiling"
+    doc.write_text('{"outer": ' + big + "}")
+    code, out = run(capsys, "validate", str(doc), "--format", "json")
+    assert code == 2
+    assert json.loads(out)["detail"] == "invalid JSON: a number has too many digits"

@@ -7,7 +7,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sqtile import (
@@ -30,6 +30,8 @@ from sqtile import (
     sqrt2_conj,
     sqrt2_expr_to_num,
 )
+
+from sqtile.exactnum import rational_text
 
 from conftest import tight_table
 
@@ -243,6 +245,34 @@ def test_lin_cmp_ambiguous():
     assert g.cmp(LinExpr.of_symbol(table, "g")) == EQUAL
 
 
+# Wide enclosures, so that disjoint and overlapping pairs are both common.
+WIDE = GeneratorTable(
+    [Generator("g", Fraction(1), Fraction(2)), Generator("h", Fraction(5, 2), Fraction(7, 2))]
+)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+wide_exprs = st.builds(lambda a, b, c: LinExpr(WIDE, {0: a, 1: b, 2: c}), small, small, small)
+
+
+@given(wide_exprs, wide_exprs)
+@example(LinExpr(WIDE, {0: 2}), LinExpr(WIDE, {1: 1}))  # touching enclosures
+@example(LinExpr(WIDE, {1: 1}), LinExpr(WIDE, {0: 2}))
+def test_cmp_agrees_with_difference_enclosure(a, b):
+    d = (a - b).eval_interval()
+    # the second round answers from the enclosures cached by the first
+    for _ in range(2):
+        if a == b:
+            assert a.cmp(b) == EQUAL
+        elif d.lo <= 0 <= d.hi:
+            with pytest.raises(AmbiguousComparison) as info:
+                a.cmp(b)
+            assert str(info.value) == (
+                f"cannot order {a} against {b}: enclosures overlap; "
+                "declare tighter generator enclosures"
+            )
+        else:
+            assert a.cmp(b) == d.sign()
+
+
 def _random_expr(rng, table):
     return LinExpr(
         table,
@@ -326,3 +356,21 @@ def test_sqrt2_expr_to_num(table):
     assert sqrt2_expr_to_num(e) == Sqrt2Num(Fraction(3, 2), -2)
     with pytest.raises(ValueError):
         sqrt2_expr_to_num(parse_expr("1*sqrt3", table))
+
+
+@given(st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**20))
+def test_rational_text_matches_str(q):
+    assert rational_text(q) == str(q)
+    assert str(Sqrt2Num(0, q)) == (f"{q}*sqrt2" if q else "0")
+    assert str(Sqrt2Num(1, q)) == (f"1 {'-' if q < 0 else '+'} {abs(q)}*sqrt2" if q else "1")
+
+
+def test_rational_text_past_the_int_digit_limit():
+    n = int("7" * 3000) ** 2 + 1  # 6000 digits
+    q = Fraction(-n, 3)
+    num, den = rational_text(q).split("/")
+    assert Decimal(num) == -n and den == "3"
+    assert Decimal(rational_text(n)) == n
+    e = LinExpr(GeneratorTable([Generator("g", Fraction(1), Fraction(2))]), {0: n, 1: q})
+    unit, g = format_expr(e).split(" - ")
+    assert Decimal(unit) == n and g == rational_text(-q) + "*g"

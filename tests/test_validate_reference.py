@@ -1,0 +1,210 @@
+"""``validate`` against a copy of the earlier validator.
+
+The reference below is the validator as it was before cut values shared
+one object and comparisons answered from cached enclosures: every bound
+check builds ``hi - lo`` and compares it with 0, every comparison builds
+the difference of its two sides and evaluates that enclosure, and the
+cuts are sorted with that comparison.  The reports must agree exactly,
+ambiguity details included.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+from fractions import Fraction
+
+from sqtile import (
+    EQUAL,
+    AmbiguousComparison,
+    Generator,
+    GeneratorTable,
+    LinExpr,
+    Placement,
+    Tiling,
+    parse_expr,
+    validate,
+)
+from sqtile.tiling import Failure, ValidationReport
+
+from conftest import guillotine_tiling, tight_table
+
+
+def _ref_cmp(a: LinExpr, b: LinExpr) -> int:
+    if a == b:
+        return EQUAL
+    sign = (a - b).eval_interval().sign()
+    if sign == 0:
+        raise AmbiguousComparison(
+            f"cannot order {a} against {b}: enclosures overlap; "
+            "declare tighter generator enclosures"
+        )
+    return sign
+
+
+def _ref_sorted_cuts(values):
+    unique = {}
+    for v in values:
+        unique.setdefault(v, v)
+    return sorted(unique.values(), key=functools.cmp_to_key(_ref_cmp))
+
+
+def _ref_side_failures(t: Tiling):
+    failures = []
+    zero = LinExpr.zero(t.table)
+
+    def sign_of(e, what, tiles):
+        try:
+            return _ref_cmp(e, zero)
+        except AmbiguousComparison as exc:
+            failures.append(Failure("ambiguous", tiles=tiles, witness={"detail": str(exc), "where": what}))
+            return None
+
+    for name, e in (("outer_w", t.outer_w), ("outer_h", t.outer_h)):
+        s = sign_of(e, name, ())
+        if s is not None and s <= 0:
+            failures.append(Failure("nonpositive_side", witness={"side": name, "value": e}))
+    for i, p in enumerate(t.tiles):
+        for name, e in (("w", p.w), ("h", p.h)):
+            s = sign_of(e, f"tile {i} {name}", (i,))
+            if s is not None and s <= 0:
+                failures.append(
+                    Failure("nonpositive_side", tiles=(i,), witness={"side": name, "value": e})
+                )
+        if any(f.tiles == (i,) for f in failures):
+            continue
+        for cond, lo, hi in (
+            ("x >= 0", zero, p.x),
+            ("y >= 0", zero, p.y),
+            ("right <= outer_w", p.right, t.outer_w),
+            ("top <= outer_h", p.top, t.outer_h),
+        ):
+            s = sign_of(hi - lo, f"tile {i} {cond}", (i,))
+            if s is not None and s < 0:
+                failures.append(
+                    Failure("out_of_bounds", tiles=(i,), witness={"constraint": cond, "x": p.x, "y": p.y})
+                )
+    return failures
+
+
+def reference_validate(t: Tiling) -> ValidationReport:
+    failures = _ref_side_failures(t)
+    if failures:
+        return ValidationReport(tuple(failures))
+    zero = LinExpr.zero(t.table)
+    try:
+        x_cuts = _ref_sorted_cuts([zero, t.outer_w] + [v for p in t.tiles for v in (p.x, p.right)])
+        y_cuts = _ref_sorted_cuts([zero, t.outer_h] + [v for p in t.tiles for v in (p.y, p.top)])
+    except AmbiguousComparison as exc:
+        return ValidationReport((Failure("ambiguous", witness={"detail": str(exc)}),))
+    x_index = {v: i for i, v in enumerate(x_cuts)}
+    y_index = {v: i for i, v in enumerate(y_cuts)}
+    nx, ny = len(x_cuts) - 1, len(y_cuts) - 1
+    owners = [[[] for _ in range(ny)] for _ in range(nx)]
+    for idx, p in enumerate(t.tiles):
+        for i in range(x_index[p.x], x_index[p.right]):
+            for j in range(y_index[p.y], y_index[p.top]):
+                owners[i][j].append(idx)
+    for i in range(nx):
+        for j in range(ny):
+            cell_w = {"cell_x": x_cuts[i], "cell_y": y_cuts[j]}
+            if not owners[i][j]:
+                failures.append(Failure("gap", cell=(i, j), witness=cell_w))
+            elif len(owners[i][j]) > 1:
+                failures.append(
+                    Failure("overlap", tiles=tuple(owners[i][j]), cell=(i, j), witness=cell_w)
+                )
+    return ValidationReport(tuple(failures))
+
+
+def _mutations(rng, t: Tiling):
+    """Drop, duplicate or shift one tile, or flatten it left of the rectangle."""
+    table = t.table
+    k = rng.randrange(len(t.tiles))
+    p = t.tiles[k]
+    delta = LinExpr.constant(table, Fraction(rng.choice([-1, 1]), rng.randint(2, 9)))
+    replaced = lambda q: Tiling(t.outer_w, t.outer_h, t.tiles[:k] + (q,) + t.tiles[k + 1 :], table)
+    if len(t.tiles) > 1:
+        yield Tiling(t.outer_w, t.outer_h, t.tiles[:k] + t.tiles[k + 1 :], table)
+    yield Tiling(t.outer_w, t.outer_h, t.tiles + (p,), table)
+    yield replaced(Placement(p.x + delta, p.y, p.w, p.h))
+    yield replaced(Placement(p.x, p.y + delta, p.w, p.h))
+    # a nonpositive side skips the tile's bounds checks
+    yield replaced(Placement(p.x - 4, p.y, p.w - p.w, p.h))
+
+
+def _fig4(table):
+    e = lambda s: parse_expr(s, table)
+    tiles = (
+        Placement(e("0"), e("0"), e("1/3"), e("1*sqrt3")),
+        Placement(e("1/3"), e("0"), e("2/3"), e("1*sqrt3")),
+        Placement(e("0"), e("1*sqrt3"), e("1"), e("2 + 1*sqrt2 - 1*sqrt3")),
+    )
+    return Tiling(e("1"), e("2 + 1*sqrt2"), tiles, table)
+
+
+def _ambiguous_cases():
+    """Tilings over g in [9/10, 11/10]: ambiguous bound, side and cut order."""
+    table = GeneratorTable([Generator("g", Fraction(9, 10), Fraction(11, 10))])
+    e = lambda s: parse_expr(s, table)
+    # right <= outer_w of the second tile is the sign of -1 + g
+    yield Tiling(
+        e("2"),
+        e("1"),
+        (
+            Placement(e("0"), e("0"), e("1*g"), e("1")),
+            Placement(e("1"), e("0"), e("2 - 1*g"), e("1")),
+        ),
+        table,
+    )
+    # a side of sign -1 + g
+    yield Tiling(e("2"), e("1"), (Placement(e("0"), e("0"), e("-1 + 1*g"), e("1")),), table)
+    # every check certifies, but the x cuts 1 and g cannot be ordered
+    half = e("1/2")
+    yield Tiling(
+        e("3"),
+        e("1"),
+        (
+            Placement(e("0"), e("0"), e("1"), half),
+            Placement(e("0"), half, e("1*g"), half),
+            Placement(e("1"), e("0"), e("2"), half),
+            Placement(e("1*g"), half, e("3 - 1*g"), half),
+        ),
+        table,
+    )
+
+
+def _assert_same(t: Tiling):
+    want = reference_validate(t).as_dict()
+    assert validate(t).as_dict() == want
+    return want
+
+
+def test_fig4_and_its_mutations_match_reference():
+    table = tight_table(2, 3)
+    t = _fig4(table)
+    assert _assert_same(t)["verdict"] == "valid"
+    rng = random.Random(3)
+    for _ in range(10):
+        for m in _mutations(rng, t):
+            _assert_same(m)
+
+
+def test_guillotine_tilings_and_mutations_match_reference():
+    table = tight_table(2, 3)
+    e = lambda s: parse_expr(s, table)
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(30):
+        t = guillotine_tiling(rng, e("2 + 1*sqrt3"), e("1 + 1*sqrt2"), depth=5)
+        assert _assert_same(t)["verdict"] == "valid"
+        for m in _mutations(rng, t):
+            kinds.update(f["kind"] for f in _assert_same(m)["failures"])
+    assert kinds == {"gap", "overlap", "out_of_bounds", "nonpositive_side"}
+
+
+def test_ambiguous_tilings_match_reference_including_detail():
+    for t in _ambiguous_cases():
+        want = _assert_same(t)
+        assert [f["kind"] for f in want["failures"]] == ["ambiguous"]
+        assert want["failures"][0]["witness"]["detail"].startswith("cannot order ")
