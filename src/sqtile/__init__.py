@@ -9,7 +9,6 @@ from .errors import (
     AmbiguousComparison,
     CommensurableSides,
     DocumentError,
-    GridInconsistent,
     InvalidTiling,
     NotInSpan,
     SqtileError,
@@ -24,25 +23,19 @@ from .exactnum import (
     GeneratorTable,
     Interval,
     LinExpr,
-    Rational,
     Sqrt2Num,
     format_expr,
-    lin_cmp,
-    lin_combine,
     parse_expr,
     parse_rational,
-    sqrt2_conj,
     sqrt2_expr_to_num,
 )
-from .basis import Basis, commensurability_ratio, coords_st, extract_basis
+from .basis import Basis, commensurability_ratio, extract_basis
 from .tiling import (
     Failure,
     Placement,
-    RefinedGrid,
     Tiling,
     ValidationReport,
     is_square,
-    refine,
     validate,
 )
 from .hamel import (

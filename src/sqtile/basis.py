@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import AmbiguousComparison, CommensurableSides, NotInSpan
 from .exactnum import LinExpr
 
-__all__ = ["Basis", "extract_basis", "coords_st", "commensurability_ratio"]
+__all__ = ["Basis", "extract_basis", "commensurability_ratio"]
 
 
 class _Row:
@@ -67,15 +67,7 @@ class Basis:
         known = self._known.get(p)
         if known is not None:
             return known
-        residue = p.coeff_vector()
-        acc = [Fraction(0)] * len(self.elements)
-        for row in self._rows:
-            f = residue[row.pivot]
-            if f != 0:
-                for k, v in enumerate(row.vec):
-                    residue[k] -= f * v
-                for k, v in enumerate(row.rep):
-                    acc[k] += f * v
+        residue, acc = _reduce(self._rows, p.coeff_vector(), len(self.elements))
         if any(residue):
             raise NotInSpan(f"{p} is not in the span of the basis")
         return tuple(acc)
@@ -97,6 +89,24 @@ class Basis:
         for c, e in zip(coords, self.elements):
             out = out + e * c
         return out
+
+
+def _reduce(rows, vector, width):
+    """One elimination pass of the dense ``vector`` against ``rows``.
+
+    Returns the residue, which is all zero exactly when ``vector`` is in
+    the rows' span, and the coordinates of the eliminated part over the
+    first ``width`` selected elements.  ``vector`` is reduced in place.
+    """
+    acc = [Fraction(0)] * width
+    for row in rows:
+        f = vector[row.pivot]
+        if f != 0:
+            for k, v in enumerate(row.vec):
+                vector[k] -= f * v
+            for k, v in enumerate(row.rep):
+                acc[k] += f * v
+    return vector, acc
 
 
 def _pad(rep, n):
@@ -133,16 +143,7 @@ def extract_basis(lengths, *, require_incommensurable: bool = True) -> Basis:
     has_t0 = True
 
     for pos, p in enumerate(lengths):
-        residue = p.coeff_vector()
-        acc: list[Fraction] = [Fraction(0)] * len(elements)
-        for row in rows:
-            f = residue[row.pivot]
-            if f != 0:
-                for k, v in enumerate(row.vec):
-                    residue[k] -= f * v
-                for k, v in enumerate(row.rep):
-                    acc[k] += f * v
-
+        residue, acc = _reduce(rows, p.coeff_vector(), len(elements))
         if not any(residue):
             # in the span of the already selected elements
             if pos == 1:
@@ -181,11 +182,6 @@ def extract_basis(lengths, *, require_incommensurable: bool = True) -> Basis:
     for row in rows:
         row.rep = _pad(row.rep, width)
     return Basis(elements, rows, lengths, coords, has_t0)
-
-
-def coords_st(p: LinExpr, basis: Basis) -> tuple:
-    """Functional alias for :meth:`Basis.coords_st`."""
-    return basis.coords_st(p)
 
 
 def commensurability_ratio(s0: LinExpr, t0: LinExpr) -> Fraction | None:

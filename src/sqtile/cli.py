@@ -43,7 +43,6 @@ __all__ = [
     "build_tiling",
     "render_svg",
     "run_command",
-    "main",
 ]
 
 EXIT_OK = 0
@@ -222,7 +221,7 @@ def _fixed(value: Fraction, digits: int) -> str:
     scaled = value * Fraction(10) ** digits
     n = round(scaled)  # Fraction.__round__ is exact, ties to even
     sign = "-" if n < 0 else ""
-    body = str(abs(n)).rjust(digits + 1, "0")
+    body = rational_text(abs(n)).rjust(digits + 1, "0")
     if digits == 0:
         return sign + body
     return f"{sign}{body[:-digits]}.{body[-digits:]}"

@@ -43,10 +43,6 @@ class NotInSpan(SqtileError):
     """A length is not a rational combination of the basis elements."""
 
 
-class GridInconsistent(SqtileError):
-    """The refined grid is not an exactly-once cover by tile blocks."""
-
-
 class InvalidTiling(SqtileError):
     """A precondition required a valid tiling; carries the failure report."""
 
@@ -59,7 +55,8 @@ class DocumentError(SqtileError):
     """Malformed input document or expression.
 
     ``line``/``column`` locate the problem when known; ``token`` is the
-    offending piece of text.
+    offending piece of text; the message shows a token longer than 40
+    characters as its first 40 and its length.
     """
 
     def __init__(self, message, *, line=None, column=None, token=None):
@@ -68,7 +65,11 @@ class DocumentError(SqtileError):
             loc = f" at line {line}" + (f", column {column}" if column is not None else "")
         elif column is not None:
             loc = f" at column {column}"
-        tok = f" (near {token!r})" if token else ""
+        tok = ""
+        if token and len(token) > 40:
+            tok = f" (near {token[:40]!r}... {len(token)} characters)"
+        elif token:
+            tok = f" (near {token!r})"
         super().__init__(message + loc + tok)
         self.line = line
         self.column = column

@@ -16,8 +16,6 @@ from fractions import Fraction
 
 from .errors import AmbiguousComparison, DocumentError, TableMismatch
 
-Rational = Fraction
-
 LESS, EQUAL, GREATER = -1, 0, 1
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
@@ -77,6 +75,11 @@ class Sqrt2Num:
 
     def __setattr__(self, name, value):
         raise AttributeError("Sqrt2Num is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since the
+        # default slot restore would write through __setattr__
+        return Sqrt2Num, (self.a, self.b)
 
     def conj(self) -> "Sqrt2Num":
         """The conjugate a - b*sqrt(2)."""
@@ -141,18 +144,6 @@ class Sqrt2Num:
 
     def __neg__(self):
         return Sqrt2Num(-self.a, -self.b)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Sqrt2Num(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def sign(self) -> int:
         """Exact sign of the real value a + b*sqrt(2): -1, 0 or 1.
@@ -231,11 +222,6 @@ class Sqrt2Num:
 SQRT2 = Sqrt2Num(0, 1)
 
 
-def sqrt2_conj(s: Sqrt2Num) -> Sqrt2Num:
-    """Functional alias for :meth:`Sqrt2Num.conj`."""
-    return s.conj()
-
-
 @dataclass(frozen=True, slots=True)
 class Interval:
     """A closed rational interval [lo, hi]."""
@@ -253,10 +239,6 @@ class Interval:
         return cls(v, v)
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
@@ -271,17 +253,6 @@ class Interval:
         if c >= 0:
             return Interval(c * self.lo, c * self.hi)
         return Interval(c * self.hi, c * self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        prods = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(prods), max(prods))
-
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def contains_value(self, value) -> bool:
-        v = _as_fraction(value)
-        return self.lo <= v <= self.hi
 
     def sign(self) -> int:
         """-1 or 1 when the interval is separated from 0, else 0."""
@@ -416,6 +387,10 @@ class LinExpr:
 
     def __setattr__(self, name, value):
         raise AttributeError("LinExpr is immutable")
+
+    def __reduce__(self):
+        # as for Sqrt2Num; the copy recomputes its hash and enclosure on use
+        return LinExpr, (self.table, self.coeffs)
 
     @classmethod
     def constant(cls, table: GeneratorTable, value) -> "LinExpr":
@@ -564,19 +539,9 @@ class LinExpr:
         return f"LinExpr({format_expr(self)!r})"
 
 
-def lin_combine(e1: LinExpr, e2: LinExpr, c1, c2) -> LinExpr:
-    """c1*e1 + c2*e2 with zero coefficients dropped."""
-    return e1 * _as_fraction(c1) + e2 * _as_fraction(c2)
-
-
-def lin_cmp(e1: LinExpr, e2: LinExpr) -> int:
-    """Functional alias for :meth:`LinExpr.cmp`."""
-    return e1.cmp(e2)
-
-
-def sqrt2_expr_to_num(e: LinExpr, sqrt2_symbol: str = "sqrt2") -> Sqrt2Num:
+def sqrt2_expr_to_num(e: LinExpr) -> Sqrt2Num:
     """Convert an expression supported on {1, sqrt2} into a Sqrt2Num."""
-    idx = e.table.index(sqrt2_symbol) if sqrt2_symbol in e.table else None
+    idx = e.table.index("sqrt2") if "sqrt2" in e.table else None
     a = Fraction(0)
     b = Fraction(0)
     for i, c in e._items:
@@ -585,7 +550,7 @@ def sqrt2_expr_to_num(e: LinExpr, sqrt2_symbol: str = "sqrt2") -> Sqrt2Num:
         elif i == idx:
             b = c
         else:
-            raise ValueError(f"{e} involves generators outside {{1, {sqrt2_symbol}}}")
+            raise ValueError(f"{e} involves generators outside {{1, sqrt2}}")
     return Sqrt2Num(a, b)
 
 

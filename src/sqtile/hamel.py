@@ -40,10 +40,6 @@ class QuadPoly:
     c1: Fraction
     c0: Fraction
 
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        return self.c2 * x * x + self.c1 * x + self.c0
-
     def nonneg_on_reals(self) -> bool:
         """True iff the polynomial is >= 0 for every real x."""
         if self.c2 == 0:

@@ -13,16 +13,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .errors import AmbiguousComparison, GridInconsistent
+from .errors import AmbiguousComparison
 from .exactnum import GeneratorTable, LinExpr
 
 __all__ = [
     "Placement",
     "Tiling",
-    "RefinedGrid",
     "Failure",
     "ValidationReport",
-    "refine",
     "validate",
     "is_square",
 ]
@@ -72,35 +70,6 @@ class Tiling:
         for t in self.tiles:
             out += [t.w, t.h]
         return out
-
-
-@dataclass(frozen=True, slots=True)
-class RefinedGrid:
-    """The product grid obtained by extending every cut line.
-
-    ``x_cuts``/``y_cuts`` are strictly increasing and include 0 and the
-    outer sides; ``owner[i][j]`` is the index of the tile covering the
-    cell between cuts i..i+1 horizontally and j..j+1 vertically.
-    """
-
-    x_cuts: tuple
-    y_cuts: tuple
-    owner: tuple
-
-    @property
-    def cell_count(self) -> int:
-        return (len(self.x_cuts) - 1) * (len(self.y_cuts) - 1)
-
-    def cell_width(self, i: int) -> LinExpr:
-        return self.x_cuts[i + 1] - self.x_cuts[i]
-
-    def cell_height(self, j: int) -> LinExpr:
-        return self.y_cuts[j + 1] - self.y_cuts[j]
-
-    def cells(self):
-        for i in range(len(self.x_cuts) - 1):
-            for j in range(len(self.y_cuts) - 1):
-                yield i, j, self.owner[i][j]
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,14 +165,14 @@ def _side_failures(t: Tiling, zero, outer_w, outer_h, edges):
     return failures
 
 
-def _layout(t: Tiling):
-    """Side and bounds checks, then the sorted cuts and each tile's block.
+def validate(t: Tiling) -> ValidationReport:
+    """Check that the tiles cut the outer rectangle exactly.
 
-    Every tile's right and top edge is built once, and equal cut values
-    share one object, so each distinct value's enclosure is evaluated
-    once.  Returns (failures, None) when a check fails, else
-    ([], (x_cuts, y_cuts, blocks)); AmbiguousComparison from sorting the
-    cuts propagates.
+    Failures are reported as data, never raised; an ambiguous certified
+    comparison becomes a failure of kind "ambiguous" (tighten the
+    generator enclosures and retry).  Every tile's right and top edge is
+    built once, and equal cut values share one object, so each distinct
+    value's enclosure is evaluated once.
     """
     zero = LinExpr.zero(t.table)
     xs = {zero: zero}
@@ -221,37 +190,22 @@ def _layout(t: Tiling):
         ))
     failures = _side_failures(t, zero, outer_w, outer_h, edges)
     if failures:
-        return failures, None
+        return ValidationReport(tuple(failures))
 
     certified = functools.cmp_to_key(LinExpr.cmp)
-    x_cuts = sorted(xs, key=certified)
-    y_cuts = sorted(ys, key=certified)
-    x_index = {v: i for i, v in enumerate(x_cuts)}
-    y_index = {v: i for i, v in enumerate(y_cuts)}
-    blocks = [(x_index[x], x_index[r], y_index[y], y_index[top]) for x, r, y, top in edges]
-    return [], (x_cuts, y_cuts, blocks)
-
-
-def validate(t: Tiling) -> ValidationReport:
-    """Check that the tiles cut the outer rectangle exactly.
-
-    Failures are reported as data, never raised; an ambiguous certified
-    comparison becomes a failure of kind "ambiguous" (tighten the
-    generator enclosures and retry).
-    """
     try:
-        failures, grid = _layout(t)
+        x_cuts = sorted(xs, key=certified)
+        y_cuts = sorted(ys, key=certified)
     except AmbiguousComparison as exc:
         return ValidationReport((Failure("ambiguous", witness={"detail": str(exc)}),))
-    if failures:
-        return ValidationReport(tuple(failures))
-    x_cuts, y_cuts, blocks = grid
+    x_index = {v: i for i, v in enumerate(x_cuts)}
+    y_index = {v: i for i, v in enumerate(y_cuts)}
 
     nx, ny = len(x_cuts) - 1, len(y_cuts) - 1
     owners = [[[] for _ in range(ny)] for _ in range(nx)]
-    for idx, (ix0, ix1, iy0, iy1) in enumerate(blocks):
-        for i in range(ix0, ix1):
-            for j in range(iy0, iy1):
+    for idx, (x, right, y, top) in enumerate(edges):
+        for i in range(x_index[x], x_index[right]):
+            for j in range(y_index[y], y_index[top]):
                 owners[i][j].append(idx)
     for i in range(nx):
         for j in range(ny):
@@ -263,33 +217,3 @@ def validate(t: Tiling) -> ValidationReport:
                     Failure("overlap", tiles=tuple(owners[i][j]), cell=(i, j), witness=cell_w)
                 )
     return ValidationReport(tuple(failures))
-
-
-def refine(t: Tiling) -> RefinedGrid:
-    """Build the refined grid, raising on any inconsistency.
-
-    Placement invariants (positive sides, tiles inside the outer
-    rectangle) must hold; a cell covered zero or multiple times raises
-    GridInconsistent, and AmbiguousComparison propagates.
-    """
-    side, grid = _layout(t)
-    for f in side:
-        if f.kind == "ambiguous":
-            raise AmbiguousComparison(f.witness.get("detail", "ambiguous comparison"))
-    if side:
-        raise GridInconsistent(f"placement invariants violated: {side[0].kind}")
-
-    x_cuts, y_cuts, blocks = grid
-    nx, ny = len(x_cuts) - 1, len(y_cuts) - 1
-    owner = [[-1] * ny for _ in range(nx)]
-    for idx, (ix0, ix1, iy0, iy1) in enumerate(blocks):
-        for i in range(ix0, ix1):
-            for j in range(iy0, iy1):
-                if owner[i][j] != -1:
-                    raise GridInconsistent(f"cell ({i}, {j}) covered by tiles {owner[i][j]} and {idx}")
-                owner[i][j] = idx
-    for i in range(nx):
-        for j in range(ny):
-            if owner[i][j] == -1:
-                raise GridInconsistent(f"cell ({i}, {j}) is not covered")
-    return RefinedGrid(tuple(x_cuts), tuple(y_cuts), tuple(tuple(col) for col in owner))

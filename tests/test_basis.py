@@ -14,7 +14,6 @@ from sqtile import (
     LinExpr,
     NotInSpan,
     commensurability_ratio,
-    coords_st,
     extract_basis,
     parse_expr,
 )
@@ -73,11 +72,11 @@ def test_dependent_third_input(table):
 def test_coords_st_examples(table):
     basis = extract_basis(fig4_lengths(table))
     s0 = LinExpr.constant(table, 1)
-    assert coords_st(s0, basis) == (1, 0)
+    assert basis.coords_st(s0) == (1, 0)
     t3 = parse_expr("2 + 1*sqrt2 - 1*sqrt3", table)
-    assert coords_st(t3, basis) == (0, 1)
+    assert basis.coords_st(t3) == (0, 1)
     third = LinExpr.constant(table, Fraction(1, 3))
-    assert coords_st(third, basis) == (Fraction(1, 3), 0)
+    assert basis.coords_st(third) == (Fraction(1, 3), 0)
 
 
 def test_not_in_span(table):

@@ -8,7 +8,7 @@ import random
 import re
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -420,8 +420,37 @@ def test_cli_inputs_past_int_digit_limit_are_input_errors(tmp_path, capsys):
     assert code == 2
     detail = json.loads(out)["detail"]
     assert detail.startswith("rational has too many digits (near '111")
+    assert len(detail.encode()) < 200
     doc = tmp_path / "big.tiling"
     doc.write_text('{"outer": ' + big + "}")
     code, out = run(capsys, "validate", str(doc), "--format", "json")
     assert code == 2
     assert json.loads(out)["detail"] == "invalid JSON: a number has too many digits"
+
+
+def test_cli_render_output_past_int_digit_limit(tmp_path, capsys):
+    big = "9" * 4299
+    doc = tmp_path / "big.tiling"
+    doc.write_text(json.dumps({
+        "outer": {"w": big, "h": big},
+        "tiles": [{"x": "0", "y": "0", "w": big, "h": big}],
+    }))
+    assert run(capsys, "validate", str(doc))[0] == 0
+    code, out = run(capsys, "render", str(doc), "--format", "json")
+    assert code == 0
+    side = big + ".000000"
+    assert f'viewBox="0 0 {side} {side}"' in json.loads(out)["svg"]
+
+
+def test_cli_render_precision_past_int_digit_limit(fig4_path, capsys):
+    code, out = run(capsys, "render", fig4_path, "--precision", "5000", "--format", "json")
+    assert code == 0
+    view_box = re.search(r'viewBox="0 0 (\S+) (\S+)"', json.loads(out)["svg"])
+    assert view_box[1] == "1." + "0" * 5000
+    h = build_tiling(parse_document(Path(fig4_path).read_bytes()))[1].outer_h.midpoint()
+    with localcontext() as ctx:
+        ctx.prec = 5100
+        want = (Decimal(h.numerator) / Decimal(h.denominator)).quantize(
+            Decimal(1).scaleb(-5000), rounding=ROUND_HALF_EVEN
+        )
+    assert view_box[2] == str(want)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -23,11 +25,8 @@ from sqtile import (
     Sqrt2Num,
     TableMismatch,
     format_expr,
-    lin_cmp,
-    lin_combine,
     parse_expr,
     parse_rational,
-    sqrt2_conj,
     sqrt2_expr_to_num,
 )
 
@@ -83,17 +82,16 @@ def test_parse_rational():
 
 
 def test_conjugate_examples():
-    assert sqrt2_conj(Sqrt2Num(1, 1)) == Sqrt2Num(1, -1)
+    assert Sqrt2Num(1, 1).conj() == Sqrt2Num(1, -1)
     a = Sqrt2Num(Fraction(5, 7))
-    assert sqrt2_conj(a) == a  # rational fixed point
+    assert a.conj() == a  # rational fixed point
     s = Sqrt2Num(3, -5)
-    assert sqrt2_conj(sqrt2_conj(s)) == s  # involution
+    assert s.conj().conj() == s  # involution
 
 
 def test_sqrt2_arith_examples():
     one_plus = Sqrt2Num(1, 1)
     assert one_plus * one_plus == Sqrt2Num(3, 2)
-    assert one_plus ** 2 == Sqrt2Num(3, 2)
     assert one_plus * Sqrt2Num(1, -1) == Sqrt2Num(-1)
     s = Sqrt2Num(2, 1)
     assert s * Sqrt2Num(1) == s
@@ -149,7 +147,6 @@ def test_interval_basics():
     i = Interval(Fraction(1), Fraction(2))
     assert (i + i) == Interval(Fraction(2), Fraction(4))
     assert i.scale(-2) == Interval(Fraction(-4), Fraction(-2))
-    assert (i * Interval(Fraction(-1), Fraction(3))).lo == -2
     assert i.sign() == 1 and (-i).sign() == -1
     assert Interval(Fraction(-1), Fraction(1)).sign() == 0
     with pytest.raises(ValueError):
@@ -187,11 +184,11 @@ def test_table_uniqueness_and_lookup(table):
 
 def test_lin_combine_examples(table):
     e = parse_expr("2 + 1*sqrt2", table)
-    assert lin_combine(e, e, 1, -1).is_zero
+    assert (e * 1 + e * -1).is_zero
     third = LinExpr.constant(table, Fraction(1, 3))
     two_thirds = LinExpr.constant(table, Fraction(2, 3))
-    assert lin_combine(third, two_thirds, 1, 1) == LinExpr.constant(table, 1)
-    t3 = lin_combine(e, LinExpr.of_symbol(table, "sqrt3"), 1, -1)
+    assert third * 1 + two_thirds * 1 == LinExpr.constant(table, 1)
+    t3 = e * 1 + LinExpr.of_symbol(table, "sqrt3") * -1
     assert t3.coeffs == {0: Fraction(2), 1: Fraction(1), 2: Fraction(-1)}
 
 
@@ -226,8 +223,8 @@ def test_lin_cmp_examples():
     d_lo = 2 * Fraction(1732, 1000) - Fraction(577, 408) - 2
     d_hi = 2 * Fraction(1733, 1000) - Fraction(1393, 985) - 2
     assert d_lo > 0 and d_hi > 0  # separated above zero -> Greater
-    assert lin_cmp(e1, e2) == GREATER
-    assert lin_cmp(e1, e1) == EQUAL
+    assert e1.cmp(e2) == GREATER
+    assert e1.cmp(e1) == EQUAL
     assert LinExpr.constant(table, Fraction(1, 2)).cmp(
         LinExpr.constant(table, Fraction(1, 3))
     ) == GREATER
@@ -291,7 +288,7 @@ def test_lin_cmp_never_contradicts_midpoint_evaluation():
     for _ in range(300):
         e1, e2 = _random_expr(rng, table), _random_expr(rng, table)
         point = sum(c * mids[i] for i, c in (e1 - e2).coeffs.items())
-        c = lin_cmp(e1, e2)
+        c = e1.cmp(e2)
         if c == EQUAL:
             assert e1.coeffs == e2.coeffs
         elif c == GREATER:
@@ -305,9 +302,29 @@ def test_interval_of_sum_contained_in_sum_of_intervals():
     rng = random.Random(11)
     for _ in range(300):
         e1, e2 = _random_expr(rng, table), _random_expr(rng, table)
-        assert (e1.eval_interval() + e2.eval_interval()).contains(
-            (e1 + e2).eval_interval()
-        )
+        outer = e1.eval_interval() + e2.eval_interval()
+        inner = (e1 + e2).eval_interval()
+        assert outer.lo <= inner.lo <= inner.hi <= outer.hi
+
+
+def test_copy_and_pickle_round_trip():
+    table = tight_table(2, 3, 5)
+    rng = random.Random(19)
+    round_trips = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
+    for _ in range(20):
+        e, other = _random_expr(rng, table), _random_expr(rng, table)
+        s = Sqrt2Num(Fraction(rng.randint(-30, 30), rng.randint(1, 12)), rng.randint(-30, 30))
+        hash(e), e.eval_interval()  # fill the write-once slots first
+        for trip in round_trips:
+            c = trip(e)
+            assert c == e and hash(c) == hash(e)
+            assert c.cmp(e) == EQUAL and c.cmp(other) == e.cmp(other)
+            d = trip(s)
+            assert d == s and hash(d) == hash(s) and d.sign() == s.sign()
+            with pytest.raises(AttributeError):
+                c._hash = 0
+            with pytest.raises(AttributeError):
+                d.a = 0
 
 
 # --- grammar -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Geometric validation via exact grid refinement."""
+"""Geometric validation on the exact product grid of cut lines."""
 
 from __future__ import annotations
 
@@ -8,15 +8,12 @@ from fractions import Fraction
 import pytest
 
 from sqtile import (
-    AmbiguousComparison,
     Generator,
     GeneratorTable,
-    GridInconsistent,
     Placement,
     Tiling,
     is_square,
     parse_expr,
-    refine,
     validate,
 )
 
@@ -38,42 +35,6 @@ def fig4_tiling(table):
     return Tiling(e("1"), e("2 + 1*sqrt2"), tiles, table)
 
 
-def test_refine_fig4(table):
-    e = lambda s: parse_expr(s, table)
-    grid = refine(fig4_tiling(table))
-    assert grid.x_cuts == (e("0"), e("1/3"), e("1"))
-    assert grid.y_cuts == (e("0"), e("1*sqrt3"), e("2 + 1*sqrt2"))
-    assert grid.cell_count == 4
-    # both top cells belong to the wide third tile
-    assert grid.owner == ((0, 2), (1, 2))
-
-
-def test_refine_single_tile(table):
-    e = lambda s: parse_expr(s, table)
-    t = Tiling(e("1"), e("2"), (Placement(e("0"), e("0"), e("1"), e("2")),), table)
-    grid = refine(t)
-    assert grid.cell_count == 1
-    assert grid.owner == ((0,),)
-
-
-def test_refine_two_stacked_tiles(table):
-    e = lambda s: parse_expr(s, table)
-    a = e("1*sqrt3")
-    h = e("2 + 1*sqrt2")
-    t = Tiling(
-        e("1"),
-        h,
-        (
-            Placement(e("0"), e("0"), e("1"), a),
-            Placement(e("0"), a, e("1"), h - a),
-        ),
-        table,
-    )
-    grid = refine(t)
-    assert grid.cell_count == 2
-    assert grid.owner == ((0, 1),)
-
-
 def test_validate_fig4_valid(table):
     assert validate(fig4_tiling(table)).is_valid
 
@@ -89,8 +50,6 @@ def test_validate_moved_tile_overlaps(table):
     assert any(f.cell == (0, 0) and set(f.tiles) == {0, 1} for f in overlaps)
     gaps = [f for f in report.failures if f.kind == "gap"]
     assert gaps  # the vacated region is uncovered
-    with pytest.raises(GridInconsistent):
-        refine(corrupted)
 
 
 def test_validate_gap(table):
@@ -106,8 +65,6 @@ def test_validate_out_of_bounds(table):
     t = Tiling(e("1"), e("1"), (Placement(e("1/2"), e("0"), e("1"), e("1")),), table)
     report = validate(t)
     assert any(f.kind == "out_of_bounds" and f.tiles == (0,) for f in report.failures)
-    with pytest.raises(GridInconsistent):
-        refine(t)
 
 
 def test_validate_nonpositive_side(table):
@@ -131,8 +88,6 @@ def test_validate_ambiguous_surfaces_in_report():
     )
     report = validate(t)
     assert report.is_ambiguous and not report.is_valid
-    with pytest.raises(AmbiguousComparison):
-        refine(t)
 
 
 def test_is_square(table):
@@ -148,31 +103,27 @@ def test_empty_tiling_rejected(table):
         Tiling(e("1"), e("1"), (), table)
 
 
-def test_refinement_idempotent_on_grid_cells(table):
-    t = fig4_tiling(table)
-    grid = refine(t)
-    cells = []
-    for i, j, _owner in grid.cells():
-        cells.append(
-            Placement(grid.x_cuts[i], grid.y_cuts[j], grid.cell_width(i), grid.cell_height(j))
-        )
-    regridded = refine(Tiling(t.outer_w, t.outer_h, tuple(cells), table))
-    assert regridded.x_cuts == grid.x_cuts
-    assert regridded.y_cuts == grid.y_cuts
-
-
-def test_area_bookkeeping_interval_containment(table):
+def test_fig4_grid_cells_validate(table):
     e = lambda s: parse_expr(s, table)
-    rng = random.Random(5)
-    for _ in range(20):
-        t = guillotine_tiling(rng, e("1 + 1*sqrt2"), e("1*sqrt3"), depth=4)
-        grid = refine(t)
-        total = None
-        for i, j, _owner in grid.cells():
-            area = grid.cell_width(i).eval_interval() * grid.cell_height(j).eval_interval()
-            total = area if total is None else total + area
-        outer = t.outer_w.eval_interval() * t.outer_h.eval_interval()
-        assert total.contains(outer)
+    t = fig4_tiling(table)
+    x_cuts = (e("0"), e("1/3"), e("1"))
+    y_cuts = (e("0"), e("1*sqrt3"), e("2 + 1*sqrt2"))
+    cells = tuple(
+        Placement(x_cuts[i], y_cuts[j], x_cuts[i + 1] - x_cuts[i], y_cuts[j + 1] - y_cuts[j])
+        for i in range(2)
+        for j in range(2)
+    )
+    assert validate(Tiling(t.outer_w, t.outer_h, cells, table)).is_valid
+    # dropping cell (1, 1) leaves a gap at that cell of the same grid
+    report = validate(Tiling(t.outer_w, t.outer_h, cells[:3], table))
+    assert [(f.kind, f.cell) for f in report.failures] == [("gap", (1, 1))]
+    assert report.failures[0].witness == {"cell_x": x_cuts[1], "cell_y": y_cuts[1]}
+    # Fig. 4's wide top tile covers exactly the two top cells
+    report = validate(Tiling(t.outer_w, t.outer_h, cells + t.tiles[2:], table))
+    assert [(f.kind, f.cell, f.tiles) for f in report.failures] == [
+        ("overlap", (0, 1), (1, 4)),
+        ("overlap", (1, 1), (3, 4)),
+    ]
 
 
 def test_guillotine_tilings_validate_and_mutations_fail(table):
