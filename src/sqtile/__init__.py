@@ -7,7 +7,6 @@ constructs square tilings for rational side ratios.
 
 from .errors import (
     AmbiguousComparison,
-    CommensurableSides,
     DocumentError,
     InvalidTiling,
     NotInSpan,
@@ -29,7 +28,7 @@ from .exactnum import (
     parse_rational,
     sqrt2_expr_to_num,
 )
-from .basis import Basis, commensurability_ratio, extract_basis
+from .basis import Basis, extract_basis
 from .tiling import (
     Failure,
     Placement,

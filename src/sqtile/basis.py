@@ -3,18 +3,21 @@
 Scans the lengths in input order and selects ("underlines") each one
 that is not a rational combination of the previously selected ones,
 using exact Gaussian elimination over the generator coordinates.  The
-selected lengths, led by the outer sides s0 and t0, form a basis in
-which every input length has unique rational coordinates.
+selected lengths, led by the outer side s0, form a basis in which every
+input length has unique rational coordinates.  This scan is the
+package's one commensurability test: the outer side t0 is selected
+exactly when it is not a rational multiple of s0, and otherwise its
+single coordinate is that ratio.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AmbiguousComparison, CommensurableSides, NotInSpan
+from .errors import NotInSpan
 from .exactnum import LinExpr
 
-__all__ = ["Basis", "extract_basis", "commensurability_ratio"]
+__all__ = ["Basis", "extract_basis"]
 
 
 class _Row:
@@ -49,9 +52,6 @@ class Basis:
         self.input_coords = tuple(tuple(v) for v in input_coords)
         self.has_t0 = has_t0
         self._known = dict(zip(self.inputs, self.input_coords))
-
-    def __len__(self):
-        return len(self.elements)
 
     @property
     def rank(self) -> int:
@@ -113,29 +113,25 @@ def _pad(rep, n):
     return rep + [Fraction(0)] * (n - len(rep))
 
 
-def extract_basis(lengths, *, require_incommensurable: bool = True) -> Basis:
+def extract_basis(lengths) -> Basis:
     """Select a basis from ``lengths`` by the greedy in-order scan.
 
     ``lengths[0]`` is s0 and ``lengths[1]`` is t0.  Every length must be
-    positive under its enclosure.  When t0 reduces to a rational multiple
-    of s0, CommensurableSides is raised (carrying the ratio) unless
-    ``require_incommensurable`` is False, in which case t0 is simply not
-    selected and every t0 coordinate is 0.
-
-    The scan is purely symbolic; AmbiguousComparison cannot occur here.
+    certified positive (ValueError otherwise, AmbiguousComparison when
+    the enclosures cannot tell).  When t0 is a rational multiple q of s0
+    it is not selected: ``has_t0`` is False, ``coords(t0)[0]`` is q and
+    every t0 coordinate is 0.
     """
     lengths = list(lengths)
     if len(lengths) < 2:
         raise ValueError("need at least s0 and t0")
     table = lengths[0].table
+    zero = LinExpr.zero(table)
     for p in lengths:
         if p.table != table:
             raise ValueError("all lengths must share one generator table")
-        sign = p.eval_interval().sign()
-        if sign < 0:
-            raise ValueError(f"length {p} is negative")
-        if sign == 0:
-            raise AmbiguousComparison(f"cannot certify that length {p} is positive")
+        if p.cmp(zero) <= 0:
+            raise ValueError(f"length {p} must be positive")
 
     elements: list[LinExpr] = []
     rows: list[_Row] = []
@@ -147,9 +143,6 @@ def extract_basis(lengths, *, require_incommensurable: bool = True) -> Basis:
         if not any(residue):
             # in the span of the already selected elements
             if pos == 1:
-                ratio = acc[0]
-                if require_incommensurable:
-                    raise CommensurableSides(ratio)
                 has_t0 = False
             input_coords.append(acc)
             continue
@@ -171,8 +164,6 @@ def extract_basis(lengths, *, require_incommensurable: bool = True) -> Basis:
                 for i, v in enumerate(rep):
                     row.rep[i] -= g * v
         rows.append(_Row(pivot, vec, rep))
-        for prev in input_coords:
-            prev.extend([Fraction(0)])
         unit = [Fraction(0)] * (k + 1)
         unit[k] = Fraction(1)
         input_coords.append(unit)
@@ -182,13 +173,3 @@ def extract_basis(lengths, *, require_incommensurable: bool = True) -> Basis:
     for row in rows:
         row.rep = _pad(row.rep, width)
     return Basis(elements, rows, lengths, coords, has_t0)
-
-
-def commensurability_ratio(s0: LinExpr, t0: LinExpr) -> Fraction | None:
-    """The rational q with t0 = q*s0 exactly, or None if no such q exists."""
-    if s0.is_zero:
-        raise ValueError("s0 must be nonzero")
-    items = s0.coeffs
-    idx, c = next(iter(items.items()))
-    q = t0.coeff(idx) / c
-    return q if t0 == s0 * q else None

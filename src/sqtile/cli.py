@@ -278,10 +278,10 @@ def _parse_gen_flag(flag: str) -> Generator:
     sym = sym.strip()
     rest = rest.strip()
     if not eq or not (rest.startswith("[") and rest.endswith("]")):
-        raise DocumentError(f"--gen expects SYMBOL=[lo,hi], got {flag!r}", token=flag)
+        raise DocumentError("--gen expects SYMBOL=[lo,hi]", token=flag)
     lo, comma, hi = rest[1:-1].partition(",")
     if not comma:
-        raise DocumentError(f"--gen expects two comma-separated bounds, got {flag!r}", token=flag)
+        raise DocumentError("--gen expects two comma-separated bounds", token=flag)
     return Generator(sym, parse_rational(lo), parse_rational(hi))
 
 

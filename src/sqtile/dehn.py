@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .basis import commensurability_ratio, extract_basis
+from .basis import extract_basis
 from .errors import AmbiguousComparison, NotInSpan
 from .exactnum import LinExpr, rational_text
 from .hamel import y_area
@@ -79,30 +79,29 @@ class Verdict:
 def decide(w: LinExpr, h: LinExpr, *, y=DEFAULT_CERTIFICATE_Y) -> Verdict:
     """Decide square-tilability of the w x h rectangle.
 
-    Tilable with ratio q when h = q*w for rational q; otherwise
-    NotTilable with a certificate at the given negative y.  Positivity
-    of the sides is certified first (AmbiguousComparison when the
-    enclosures cannot).
+    Positivity of the sides is certified first (AmbiguousComparison when
+    the enclosures cannot).  The verdict comes from extracting a basis
+    from [w, h]: Tilable with ratio q = coords(h)[0] when h is not
+    selected (h = q*w), otherwise NotTilable with a certificate at y.
     """
     zero = LinExpr.zero(w.table)
     for name, e in (("width", w), ("height", h)):
         if e.cmp(zero) <= 0:
             raise ValueError(f"{name} must be positive")
-    q = commensurability_ratio(w, h)
-    if q is not None:
-        return Verdict(tilable=True, ratio=q)
+    basis = extract_basis([w, h])
+    if not basis.has_t0:
+        return Verdict(tilable=True, ratio=basis.coords(h)[0])
     return Verdict(tilable=False, certificate=Certificate(Fraction(y)))
 
 
 def verify_certificate(w: LinExpr, h: LinExpr, cert: Certificate) -> bool:
     """Re-check a NotTilable certificate against the rectangle.
 
-    Confirms y < 0, that (w, h) really are incommensurable, and that the
-    outer basis-relative area at y re-evaluates to exactly y.
+    Confirms y < 0 and that the outer basis-relative area at y
+    re-evaluates to exactly y.  Commensurable sides h = q*w never pass:
+    their extraction does not select h, so that area is q > 0 at every y.
     """
     if cert.y >= 0:
-        return False
-    if commensurability_ratio(w, h) is not None:
         return False
     basis = extract_basis([w, h])
     return y_area(w, h, basis, cert.y) == cert.y

@@ -26,19 +26,6 @@ class TableMismatch(SqtileError):
     """Expressions over different generator tables were combined."""
 
 
-class CommensurableSides(SqtileError):
-    """The second length is a rational multiple of the first.
-
-    Carries the ratio so callers can branch to the constructive path.
-    """
-
-    def __init__(self, ratio):
-        from .exactnum import rational_text  # exactnum imports this module
-
-        super().__init__(f"sides are commensurable with ratio {rational_text(ratio)}")
-        self.ratio = ratio
-
-
 class NotInSpan(SqtileError):
     """A length is not a rational combination of the basis elements."""
 

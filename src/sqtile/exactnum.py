@@ -621,7 +621,7 @@ def parse_expr(text: str, table: GeneratorTable) -> LinExpr:
             if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
                 i += 1
                 if i >= len(tokens) or tokens[i][0] != "symbol":
-                    bad = tokens[i] if i < len(tokens) else (None, "end of input", col)
+                    bad = tokens[i] if i < len(tokens) else (None, "end of input", len(text) + 1)
                     raise DocumentError("expected a symbol after '*'", column=bad[2], token=bad[1])
                 add(table.index(tokens[i][1]), coeff)
                 i += 1

@@ -10,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqtile import (
-    CommensurableSides,
+    AmbiguousComparison,
+    Generator,
+    GeneratorTable,
     LinExpr,
     NotInSpan,
-    commensurability_ratio,
+    decide,
     extract_basis,
     parse_expr,
 )
@@ -87,25 +89,28 @@ def test_not_in_span(table):
         basis.coords(parse_expr("1*sqrt3", table))
 
 
-def test_commensurable_sides_error(table):
+def test_commensurable_sides_leave_t0_unselected(table):
     one = LinExpr.constant(table, 1)
-    with pytest.raises(CommensurableSides) as exc:
-        extract_basis([one, LinExpr.constant(table, Fraction(3, 2))])
-    assert exc.value.ratio == Fraction(3, 2)
+    t0 = LinExpr.constant(table, Fraction(3, 2))
+    basis = extract_basis([one, t0])
+    assert basis.elements == (one,)
+    assert not basis.has_t0
+    assert basis.coords(t0) == (Fraction(3, 2),)
 
 
-def test_commensurable_sides_error_past_int_digit_limit(table):
+def test_commensurable_ratio_past_int_digit_limit(table):
     ratio = Fraction(10**5000 + 1, 3)
-    with pytest.raises(CommensurableSides) as exc:
-        extract_basis([LinExpr.constant(table, 1), LinExpr.constant(table, ratio)])
-    assert exc.value.ratio == ratio
-    assert str(exc.value).endswith("0001/3")
+    w, h = LinExpr.constant(table, 1), LinExpr.constant(table, ratio)
+    assert extract_basis([w, h]).coords(h) == (ratio,)
+    verdict = decide(w, h)
+    assert verdict.ratio == ratio
+    assert verdict.as_dict()["ratio"].endswith("0001/3")
 
 
 def test_relaxed_extraction_for_commensurable_sides(table):
     one = LinExpr.constant(table, 1)
     half = LinExpr.constant(table, Fraction(1, 2))
-    basis = extract_basis([one, half, half], require_incommensurable=False)
+    basis = extract_basis([one, half, half])
     assert basis.elements == (one,)
     assert not basis.has_t0
     assert basis.coords_st(half) == (Fraction(1, 2), 0)
@@ -119,12 +124,28 @@ def test_extraction_preconditions(table):
         extract_basis([one, LinExpr.constant(table, -1)])
 
 
+def test_extraction_certifies_positivity_like_decide(table):
+    one = LinExpr.constant(table, 1)
+    for bad in (LinExpr.zero(table), parse_expr("1 - 1*sqrt2", table)):
+        with pytest.raises(ValueError, match="must be positive"):
+            extract_basis([one, bad])
+    coarse = GeneratorTable([Generator("g", Fraction(1, 2), Fraction(5, 2))])
+    ambiguous = parse_expr("-1 + 1*g", coarse)
+    with pytest.raises(AmbiguousComparison, match=r"cannot order -1 \+ 1\*g against 0"):
+        extract_basis([LinExpr.constant(coarse, 1), ambiguous])
+
+
 def test_commensurability_ratio_examples(table):
     e = lambda s: parse_expr(s, table)
-    assert commensurability_ratio(e("1"), e("3/2")) == Fraction(3, 2)
-    assert commensurability_ratio(e("1"), e("2 + 1*sqrt2")) is None
-    assert commensurability_ratio(e("2 + 2*sqrt2"), e("3 + 3*sqrt2")) == Fraction(3, 2)
-    assert commensurability_ratio(e("1*sqrt2"), e("1*sqrt3")) is None
+
+    def ratio(s0, t0):
+        basis = extract_basis([e(s0), e(t0)])
+        return None if basis.has_t0 else basis.coords(e(t0))[0]
+
+    assert ratio("1", "3/2") == Fraction(3, 2)
+    assert ratio("1", "2 + 1*sqrt2") is None
+    assert ratio("2 + 2*sqrt2", "3 + 3*sqrt2") == Fraction(3, 2)
+    assert ratio("1*sqrt2", "1*sqrt3") is None
 
 
 def _random_lengths(rng, table, count):
@@ -173,10 +194,7 @@ def test_selected_count_equals_independent_rank_oracle():
     rng = random.Random(42)
     for _ in range(60):
         lengths = _random_lengths(rng, table, rng.randint(3, 10))
-        try:
-            basis = extract_basis(lengths)
-        except CommensurableSides:
-            basis = extract_basis(lengths, require_incommensurable=False)
+        basis = extract_basis(lengths)
         assert len(basis.elements) == _rank_oracle([p.coeff_vector() for p in lengths])
         assert basis.rank == len(basis.elements)
         for p, coords in zip(basis.inputs, basis.input_coords):
@@ -223,7 +241,7 @@ positive_sides = st.lists(
 
 @given(positive_sides, st.data())
 def test_coords_of_inputs_sums_and_outside_lengths(sides, data):
-    basis = extract_basis(sides, require_incommensurable=False)
+    basis = extract_basis(sides)
     for p, coords in zip(basis.inputs, basis.input_coords):
         assert basis.coords(p) == coords
     p = data.draw(st.sampled_from(sides))

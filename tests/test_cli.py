@@ -367,6 +367,96 @@ def test_cli_gen_flag_validation(capsys):
     assert run(capsys, "decide", "--width", "1*g", "--height", "1", "--gen", "g=[-1,1]")[0] == 2
 
 
+def test_cli_malformed_gen_flag_message_is_capped(capsys):
+    flag = "g=[1," + "1" * 3000
+    code, out = run(capsys, "decide", "--width", "1*g", "--height", "1", "--gen", flag)
+    assert code == 2
+    assert out.startswith("error: --gen expects SYMBOL=[lo,hi] (near 'g=[1,111")
+    assert len(out.encode()) < 200
+    code, out = run(capsys, "decide", "--width", "1*g", "--height", "1", "--gen", "g=[1]")
+    assert (code, out) == (2, "error: --gen expects two comma-separated bounds (near 'g=[1]')\n")
+
+
+def _write(tmp_path, name, generators, outer, tiles):
+    path = tmp_path / name
+    doc = TilingDocument(
+        tuple(GeneratorDecl(*g) for g in generators), *outer, tuple(TileDecl(*t) for t in tiles)
+    )
+    path.write_text(serialize_document(doc))
+    return str(path)
+
+
+def test_cli_verify_commensurable_non_square_tilings(tmp_path, capsys):
+    rect = _write(tmp_path, "rect.tiling", (), ("1", "2"), [("0", "0", "1", "2")])
+    assert run(capsys, "verify", rect) == (
+        1, "refuted: claimed square tiling is not one\n  non-square tiles: [0]\n"
+    )
+    code, out = run(capsys, "verify", rect, "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "verify", "exit_code": 1, "verdict": "refuted",
+        "failures": [], "tiles_not_square": [0],
+    }
+    gap = _write(tmp_path, "gap.tiling", (), ("1", "2"), [("0", "0", "1", "1")])
+    assert run(capsys, "verify", gap) == (
+        1,
+        "refuted: claimed square tiling is not one\n"
+        '  {"kind": "gap", "tiles": [], "cell": [0, 1], "witness": {"cell_x": "0", "cell_y": "1"}}\n',
+    )
+
+
+def test_cli_ambiguous_comparisons_exit_3(tmp_path, capsys):
+    code, out = run(
+        capsys, "decide", "--width", "-1 + 1*g", "--height", "1", "--gen", "g=[1/2,5/2]"
+    )
+    assert (code, out) == (
+        3,
+        "ambiguous comparison: cannot order -1 + 1*g against 0: enclosures overlap; "
+        "declare tighter generator enclosures\n"
+        "declare tighter enclosures with --gen and retry\n",
+    )
+    # g in [1/2, 5/2] cannot certify that the second tile's width 2 - g is positive
+    amb = _write(
+        tmp_path, "amb.tiling", [("g", "1/2", "5/2")], ("2", "1"),
+        [("0", "0", "1*g", "1"), ("1*g", "0", "2 - 1*g", "1")],
+    )
+    for command in ("verify", "render"):
+        assert run(capsys, command, amb) == (
+            3,
+            "ambiguous comparison: invalid: ambiguous tiles [0]; ambiguous tiles [1]\n"
+            "declare tighter enclosures with --gen and retry\n",
+        )
+        code, out = run(capsys, command, amb, "--format", "json")
+        assert code == 3
+        assert json.loads(out) == {
+            "command": command, "exit_code": 3, "error": "ambiguous_comparison",
+            "detail": "invalid: ambiguous tiles [0]; ambiguous tiles [1]",
+        }
+    code, out = run(capsys, "render", amb, "--gen", "g=[99/100,101/100]")
+    assert code == 0
+    stroke = 'fill="none" stroke="#000" stroke-width="0.010000"/>'
+    assert out == (
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 2.000000 1.000000">\n'
+        f'  <rect x="0.000000" y="0.000000" width="2.000000" height="1.000000" {stroke}\n'
+        f'  <rect x="0.000000" y="0.000000" width="1.000000" height="1.000000" {stroke}\n'
+        f'  <rect x="1.000000" y="0.000000" width="1.000000" height="1.000000" {stroke}\n'
+        "</svg>\n"
+    )
+
+
+def test_cli_render_invalid_document(tmp_path, capsys):
+    gap = _write(tmp_path, "gap.tiling", (), ("1", "2"), [("0", "0", "1", "1")])
+    assert run(capsys, "render", gap) == (1, "invalid tiling: invalid: gap\n")
+    code, out = run(capsys, "render", gap, "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "render", "exit_code": 1, "error": "invalid_tiling",
+        "failures": [
+            {"kind": "gap", "tiles": [], "cell": [0, 1], "witness": {"cell_x": "0", "cell_y": "1"}}
+        ],
+    }
+
+
 def _python(*args):
     """Run a fresh interpreter with this package importable."""
     src = str(Path(sqtile.__file__).resolve().parents[1])

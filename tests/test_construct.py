@@ -119,6 +119,6 @@ def test_euclid_tiling_additivity_with_trivial_basis():
     for _ in range(25):
         w, h = rand_fraction(rng, 20, 20), rand_fraction(rng, 20, 20)
         t = euclid_tiling(w, h)
-        basis = extract_basis(t.side_lengths(), require_incommensurable=False)
+        basis = extract_basis(t.side_lengths())
         ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
         assert additivity_check(t, basis, ys)

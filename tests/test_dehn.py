@@ -12,6 +12,7 @@ from sqtile import (
     Placement,
     RefutationKind,
     Tiling,
+    ValidationReport,
     decide,
     euclid_tiling,
     extract_basis,
@@ -74,6 +75,13 @@ def test_decide_symmetry_and_scale_invariance(table):
         assert v3.tilable == v1.tilable
         if v1.tilable:
             assert v3.ratio == v1.ratio
+
+
+def test_verify_certificate_rejects_commensurable_sides(table):
+    e = lambda s: parse_expr(s, table)
+    cert = Certificate(Fraction(-1))
+    assert not verify_certificate(e("1"), e("3/2"), cert)
+    assert not verify_certificate(e("2 + 2*sqrt2"), e("3 + 3*sqrt2"), cert)
 
 
 def test_certificate_rejects_nonnegative_y():
@@ -145,6 +153,20 @@ def test_refute_requires_incommensurable_outer(table):
     t = Tiling(e("1"), e("1"), (Placement(e("0"), e("0"), e("1"), e("1")),), table)
     with pytest.raises(ValueError):
         refute_square_tiling(t)
+    t = Tiling(e("2"), e("3"), (Placement(e("0"), e("0"), e("2"), e("3")),), table)
+    with pytest.raises(ValueError, match="ratio 3/2"):
+        refute_square_tiling(t)
+
+
+def test_refute_additivity_violated_witness(table, monkeypatch):
+    # a validator that passes every claim lets a one-square claim on the
+    # 1 x sqrt2 rectangle reach the exact additivity check
+    monkeypatch.setattr("sqtile.dehn.validate", lambda t: ValidationReport(()))
+    e = lambda s: parse_expr(s, table)
+    t = Tiling(e("1"), e("1*sqrt2"), (Placement(e("0"), e("0"), e("1"), e("1")),), table)
+    refutation = refute_square_tiling(t)
+    assert refutation.kind is RefutationKind.ADDITIVITY_VIOLATED
+    assert refutation.witness == {"y": "-1", "outer_y_area": "-1", "tile_y_area_sum": "1"}
 
 
 def test_refute_propagates_ambiguity_with_guidance():

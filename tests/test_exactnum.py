@@ -360,6 +360,36 @@ def test_parse_expr_errors(table):
     assert "sqrt5" in str(err)
 
 
+@pytest.mark.parametrize(
+    "text, message, column, token",
+    [
+        ("", "empty expression", None, ""),
+        ("   ", "empty expression (near '   ')", None, "   "),
+        ("2 ^ 3", "unexpected character in expression at column 3 (near '^')", 3, "^"),
+        ("2 +", "dangling operator at column 3 (near '+')", 3, "+"),
+        ("1 1", "expected '+' or '-' at column 3 (near '1')", 3, "1"),
+        ("2 * 3", "expected a symbol after '*' at column 5 (near '3')", 5, "3"),
+        ("*1", "expected a rational or symbol at column 1 (near '*')", 1, "*"),
+        ("1*sqrt5", "undeclared symbol 'sqrt5' (near 'sqrt5')", None, "sqrt5"),
+        ("1/0*sqrt2", "rational with zero denominator (near '1/0')", None, "1/0"),
+    ],
+)
+def test_parse_expr_error_branches(table, text, message, column, token):
+    with pytest.raises(DocumentError) as exc:
+        parse_expr(text, table)
+    assert (str(exc.value), exc.value.column, exc.value.token) == (message, column, token)
+
+
+def test_parse_expr_end_of_input_column(table):
+    # the column just past the text, not the column of the rational
+    for text in ("1*", "2 + 1* "):
+        with pytest.raises(DocumentError) as exc:
+            parse_expr(text, table)
+        col = len(text) + 1
+        assert str(exc.value) == f"expected a symbol after '*' at column {col} (near 'end of input')"
+        assert (exc.value.column, exc.value.token) == (col, "end of input")
+
+
 def test_format_parse_round_trip(table):
     rng = random.Random(3)
     for _ in range(200):
