@@ -40,12 +40,10 @@ from .tiling import (
 from .hamel import (
     Contradiction,
     GoodSquareAnalysis,
-    QuadPoly,
     additivity_check,
     analyze_good_squares,
     x_area,
     x_area_nonneg_for_all_x,
-    x_area_poly,
     y_area,
 )
 from .dehn import (

@@ -235,9 +235,12 @@ def render_svg(doc: TilingDocument, precision: int = 6) -> str:
     Validation failures abort rendering (InvalidTiling), ambiguous
     comparisons propagate.
     """
+    return _svg(build_tiling(doc)[1], precision)
+
+
+def _svg(t: Tiling, precision: int) -> str:
     if precision < 0:
         raise ValueError("precision must be nonnegative")
-    _, t = build_tiling(doc)
     report = validate(t)
     if report.is_ambiguous:
         raise AmbiguousComparison(str(report))
@@ -318,6 +321,7 @@ def _read_document(path: str) -> TilingDocument:
 
 
 def _negative_y(text: str) -> Fraction:
+    """The --y flag, parsed by the handler so its errors get a report."""
     y = parse_rational(text)
     if y >= 0:
         raise DocumentError(f"--y must be negative, got {y}")
@@ -348,11 +352,12 @@ def _cmd_validate(args):
 
 
 def _cmd_decide(args):
+    y = _negative_y(args.y)
     gen_flags = [_parse_gen_flag(s) for s in args.gen]
     table = _table_for_exprs([args.width, args.height], gen_flags)
     w = parse_expr(args.width, table)
     h = parse_expr(args.height, table)
-    verdict = decide(w, h, y=args.y)
+    verdict = decide(w, h, y=y)
     payload = verdict.as_dict()
     payload["width"] = args.width
     payload["height"] = args.height
@@ -368,11 +373,12 @@ def _cmd_decide(args):
 
 
 def _cmd_verify(args):
+    y = _negative_y(args.y)
     doc = _read_document(args.file)
     _, t = build_tiling(doc, [_parse_gen_flag(s) for s in args.gen])
-    verdict = decide(t.outer_w, t.outer_h, y=args.y)
+    verdict = decide(t.outer_w, t.outer_h, y=y)
     if not verdict.tilable:
-        refutation = refute_square_tiling(t, y=args.y)
+        refutation = refute_square_tiling(t, y=y)
         payload = {
             "verdict": "refuted",
             "refutation": refutation.as_dict(),
@@ -441,19 +447,8 @@ def _cmd_analyze_good(args):
 
 def _cmd_render(args):
     doc = _read_document(args.file)
-    if args.gen:
-        # apply overrides by rebuilding the document's generator list
-        table = _build_table(doc, [_parse_gen_flag(s) for s in args.gen])
-        doc = TilingDocument(
-            tuple(
-                GeneratorDecl(g.symbol, rational_text(g.lo), rational_text(g.hi))
-                for g in table.generators
-            ),
-            doc.outer_w,
-            doc.outer_h,
-            doc.tiles,
-        )
-    svg = render_svg(doc, args.precision)
+    _, t = build_tiling(doc, [_parse_gen_flag(s) for s in args.gen])
+    svg = _svg(t, args.precision)
     payload = {"svg": svg}
     if args.out:
         _emit(args.out, svg)
@@ -488,14 +483,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide square-tilability of a rectangle")
     p.add_argument("--width", required=True, metavar="EXPR")
     p.add_argument("--height", required=True, metavar="EXPR")
-    p.add_argument("--y", type=_negative_y, default=Fraction(-1),
+    p.add_argument("--y", default="-1",
                    help="certificate parameter, a negative rational (default -1)")
     common(p)
     p.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("verify", help="verify or refute a claimed square tiling")
     p.add_argument("file", help=".tiling document (or - for stdin)")
-    p.add_argument("--y", type=_negative_y, default=Fraction(-1),
+    p.add_argument("--y", default="-1",
                    help="certificate parameter, a negative rational (default -1)")
     common(p)
     p.set_defaults(handler=_cmd_verify)
@@ -532,9 +527,6 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the input-error code
         return int(exc.code or 0)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
     try:
         code, payload, lines = args.handler(args)

@@ -63,8 +63,8 @@ class Sqrt2Num:
     """An element a + b*sqrt(2) of Q(sqrt2), exact in both components.
 
     The representation is unique (sqrt2 is irrational), so equality and
-    hashing are componentwise.  Ordering is the real-embedding order,
-    decided exactly without any enclosures.
+    hashing are componentwise.  ``sign`` decides the sign of the real
+    value exactly, without any enclosures.
     """
 
     __slots__ = ("a", "b")
@@ -110,12 +110,6 @@ class Sqrt2Num:
             return NotImplemented
         return Sqrt2Num(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -135,12 +129,6 @@ class Sqrt2Num:
             raise ZeroDivisionError("division by zero element of Q(sqrt2)")
         inv = Sqrt2Num(o.a / norm, -o.b / norm)
         return self * inv
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __neg__(self):
         return Sqrt2Num(-self.a, -self.b)
@@ -182,30 +170,6 @@ class Sqrt2Num:
 
     def __hash__(self):
         return hash((self.a, self.b))
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     def __repr__(self):
         return f"Sqrt2Num({self.a!r}, {self.b!r})"
@@ -408,12 +372,6 @@ class LinExpr:
     def coeffs(self) -> dict:
         return dict(self._items)
 
-    def coeff(self, index: int) -> Fraction:
-        for i, c in self._items:
-            if i == index:
-                return c
-        return Fraction(0)
-
     def coeff_vector(self) -> list:
         """Dense coefficient list aligned with the table."""
         vec = [Fraction(0)] * len(self.table)
@@ -425,14 +383,10 @@ class LinExpr:
     def is_zero(self) -> bool:
         return not self._items
 
-    @property
-    def is_constant(self) -> bool:
-        return all(i == 0 for i, _ in self._items)
-
     def constant_value(self) -> Fraction:
-        if not self.is_constant:
+        if any(i != 0 for i, _ in self._items):
             raise ValueError(f"{self} is not a constant expression")
-        return self.coeff(0)
+        return self._items[0][1] if self._items else Fraction(0)
 
     def _check_table(self, other: "LinExpr"):
         if self.table is not other.table and self.table != other.table:
@@ -470,11 +424,6 @@ class LinExpr:
         return LinExpr(self.table, {i: c * scalar for i, c in self._items})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return self * (Fraction(1) / _as_fraction(scalar))
 
     def __eq__(self, other):
         if not isinstance(other, LinExpr):

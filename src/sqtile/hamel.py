@@ -20,33 +20,14 @@ from .exactnum import LinExpr, Sqrt2Num, rational_text
 from .tiling import Tiling, validate
 
 __all__ = [
-    "QuadPoly",
     "Contradiction",
     "GoodSquareAnalysis",
     "x_area",
-    "x_area_poly",
     "x_area_nonneg_for_all_x",
     "y_area",
     "additivity_check",
     "analyze_good_squares",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class QuadPoly:
-    """The quadratic c2*x^2 + c1*x + c0 with rational coefficients."""
-
-    c2: Fraction
-    c1: Fraction
-    c0: Fraction
-
-    def nonneg_on_reals(self) -> bool:
-        """True iff the polynomial is >= 0 for every real x."""
-        if self.c2 == 0:
-            return self.c1 == 0 and self.c0 >= 0
-        if self.c2 < 0:
-            return False
-        return self.c1 * self.c1 - 4 * self.c2 * self.c0 <= 0
 
 
 def x_area(w: Sqrt2Num, h: Sqrt2Num, x) -> Sqrt2Num:
@@ -60,11 +41,6 @@ def x_area(w: Sqrt2Num, h: Sqrt2Num, x) -> Sqrt2Num:
     return (Sqrt2Num(w.a) + x * w.b) * (Sqrt2Num(h.a) + x * h.b)
 
 
-def x_area_poly(w: Sqrt2Num, h: Sqrt2Num) -> QuadPoly:
-    """Coefficients (bd, bc + ad, ac) of the parametric area in x."""
-    return QuadPoly(w.b * h.b, w.b * h.a + w.a * h.b, w.a * h.a)
-
-
 def x_area_nonneg_for_all_x(w: Sqrt2Num, h: Sqrt2Num) -> bool:
     """True iff every parametric area of the w x h rectangle is >= 0.
 
@@ -73,15 +49,20 @@ def x_area_nonneg_for_all_x(w: Sqrt2Num, h: Sqrt2Num) -> bool:
     """
     if w.sign() <= 0 or h.sign() <= 0:
         raise ValueError("sides must be positive")
-    return x_area_poly(w, h).nonneg_on_reals()
+    # (a + b*x)(c + d*x) = c2*x^2 + c1*x + c0
+    c2 = w.b * h.b
+    c1 = w.b * h.a + w.a * h.b
+    c0 = w.a * h.a
+    if c2 == 0:
+        return c1 == 0 and c0 >= 0
+    return c2 > 0 and c1 * c1 - 4 * c2 * c0 <= 0
 
 
 def y_area(w: LinExpr, h: LinExpr, basis: Basis, y) -> Fraction:
     """Basis-relative area (a + b*y)(c + d*y) at rational y.
 
     (a, b) and (c, d) are the coordinates of w and h on the first two
-    basis elements; NotInSpan propagates for lengths that never entered
-    the extraction.
+    basis elements; NotInSpan propagates for lengths outside the span.
     """
     y = Fraction(y)
     a, b = basis.coords_st(w)
@@ -109,7 +90,6 @@ def additivity_check(t: Tiling, basis: Basis, ys) -> bool:
 
 class Contradiction(Enum):
     AREA_MISMATCH = "area_mismatch"
-    CONJUGATE_NEGATIVE = "conjugate_negative"
     NONE = "none"
 
 
@@ -137,24 +117,15 @@ class GoodSquareAnalysis:
         }
 
 
-def _classify(identity_holds: bool, conj_target: Sqrt2Num, conj_square_sum: Sqrt2Num) -> Contradiction:
-    if not identity_holds:
-        return Contradiction.AREA_MISMATCH
-    if conj_target.sign() < 0 <= conj_square_sum.sign():
-        return Contradiction.CONJUGATE_NEGATIVE
-    return Contradiction.NONE
-
-
 def analyze_good_squares(sides, target_w: Sqrt2Num, target_h: Sqrt2Num) -> GoodSquareAnalysis:
     """Check whether squares with the given sides could cut the target.
 
     Computes A = sum(a_i^2), B = sum(b_i^2), C = sum(a_i*b_i) and compares
     the total square area (A + 2B) + 2C*sqrt2 against the target area.
-    With exact arithmetic the identity already fails whenever the
-    target's conjugate area is negative, since the conjugate square area
-    sum((a_i - b_i*sqrt2)^2) is never negative; so this function never
-    returns CONJUGATE_NEGATIVE.  That outcome is reached only by calling
-    ``_classify`` directly.
+    The contradiction is AREA_MISMATCH exactly when that identity fails.
+    A negative conjugate target area needs no verdict of its own: the
+    conjugate of the square area, sum((a_i - b_i*sqrt2)^2), is never
+    negative, so the identity already fails for such a target.
     """
     sides = list(sides)
     if not sides:
@@ -165,5 +136,5 @@ def analyze_good_squares(sides, target_w: Sqrt2Num, target_h: Sqrt2Num) -> GoodS
     square_sum = Sqrt2Num(A + 2 * B, 2 * C)
     target_area = target_w * target_h
     identity = target_area == square_sum
-    kind = _classify(identity, target_area.conj(), square_sum.conj())
+    kind = Contradiction.NONE if identity else Contradiction.AREA_MISMATCH
     return GoodSquareAnalysis(A, B, C, identity, kind)

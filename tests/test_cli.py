@@ -259,8 +259,34 @@ def test_cli_decide_y_override(capsys):
     )
     assert code == 1
     assert json.loads(out)["certificate"]["y"] == "-7/2"
-    code, _ = run(capsys, "decide", "--width", "1", "--height", "1*sqrt2", "--y", "1")
-    assert code == 2
+    _check_bad_y(capsys, "decide", "--width", "1", "--height", "1*sqrt2")
+
+
+BAD_Y = [
+    ("1", "--y must be negative, got 1"),
+    ("0", "--y must be negative, got 0"),
+    ("1/0", "rational with zero denominator (near '1/0')"),
+]
+
+
+def _check_bad_y(capsys, command, *argv):
+    """An invalid --y is an input error with the usual report on stdout."""
+    for y, detail in BAD_Y:
+        code = run_command([command, *argv, "--y", y, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "command": command, "exit_code": 2, "error": "input", "detail": detail,
+        }
+        code = run_command([command, *argv, "--y", y])
+        assert (code, *capsys.readouterr()) == (2, f"error: {detail}\n", "")
+
+
+def test_cli_verify_y_override(fig4_path, capsys):
+    code, out = run(capsys, "verify", fig4_path, "--y", "-7/2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["certificate"]["y"] == "-7/2"
+    _check_bad_y(capsys, "verify", fig4_path)
 
 
 def test_cli_construct(tmp_path, capsys):
@@ -442,6 +468,21 @@ def test_cli_ambiguous_comparisons_exit_3(tmp_path, capsys):
         f'  <rect x="1.000000" y="0.000000" width="1.000000" height="1.000000" {stroke}\n'
         "</svg>\n"
     )
+
+
+def test_cli_generator_declared_only_by_gen_flag(tmp_path, capsys):
+    # two g x g squares stacked in a g x 2g rectangle; the file never declares g
+    outer, tiles = ("1*g", "2*g"), [("0", "0", "1*g", "1*g"), ("0", "1*g", "1*g", "1*g")]
+    bare = _write(tmp_path, "bare.tiling", (), outer, tiles)
+    declared = _write(tmp_path, "declared.tiling", [("g", "14142/10000", "14143/10000")], outer, tiles)
+    gen = ("--gen", "g=[14142/10000,14143/10000]")
+    assert run(capsys, "validate", bare) == (2, "error: undeclared symbol 'g' (near 'g')\n")
+    assert run(capsys, "validate", bare, *gen) == (0, "validation: valid\n")
+    assert run(capsys, "verify", bare, *gen) == (0, "confirmed: a valid square tiling\n")
+    code, svg = run(capsys, "render", bare, *gen)
+    assert code == 0
+    assert svg == run(capsys, "render", declared)[1] == render_svg(parse_document(Path(declared).read_bytes()))
+    assert svg.count("<rect") == 3
 
 
 def test_cli_render_invalid_document(tmp_path, capsys):

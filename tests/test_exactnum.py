@@ -130,7 +130,6 @@ def test_exact_sign_matches_decimal_oracle(s):
 
 @given(sqrt2nums, sqrt2nums)
 def test_ordering_consistent_with_sign(s, t):
-    assert (s < t) == ((s - t).sign() < 0)
     assert (s == t) == ((s - t).sign() == 0)
 
 
