@@ -242,8 +242,6 @@ def _svg(t: Tiling, precision: int) -> str:
     if precision < 0:
         raise ValueError("precision must be nonnegative")
     report = validate(t)
-    if report.is_ambiguous:
-        raise AmbiguousComparison(str(report))
     if not report.is_valid:
         raise InvalidTiling(report)
 
@@ -329,11 +327,8 @@ def _negative_y(text: str) -> Fraction:
 
 
 def _emit(out_path, content: str):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.write(content)
-    else:
-        sys.stdout.write(content)
+    with open(out_path, "w", encoding="utf-8") as f:
+        f.write(content)
 
 
 def _cmd_validate(args):
@@ -341,12 +336,8 @@ def _cmd_validate(args):
     _, t = build_tiling(doc, [_parse_gen_flag(s) for s in args.gen])
     report = validate(t)
     payload = report.as_dict()
-    if report.is_ambiguous:
-        code = EXIT_AMBIGUOUS
-        lines = ["validation: ambiguous (enclosures too coarse; tighten with --gen)"]
-    else:
-        code = EXIT_OK if report.is_valid else EXIT_REFUTED
-        lines = [f"validation: {report.verdict}"]
+    code = EXIT_OK if report.is_valid else EXIT_REFUTED
+    lines = [f"validation: {report.verdict}"]
     lines += [f"  {json.dumps(f)}" for f in payload["failures"]]
     return code, payload, lines
 
@@ -391,8 +382,6 @@ def _cmd_verify(args):
         return EXIT_REFUTED, payload, lines
 
     report = validate(t)
-    if report.is_ambiguous:
-        raise AmbiguousComparison(str(report))
     not_square = [i for i, p in enumerate(t.tiles) if not is_square(p)]
     if report.is_valid and not not_square:
         payload = {"verdict": "confirmed", "ratio": rational_text(verdict.ratio)}
@@ -466,14 +455,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, gen=True, fmt=True):
+    def common(p, *, gen=True):
         # let "--y -7/2" parse: negative rationals are values, not flags
         p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
         if gen:
             p.add_argument("--gen", action="append", default=[], metavar="SYMBOL=[lo,hi]",
                            help="declare or override a generator enclosure (repeatable)")
-        if fmt:
-            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("validate", help="check a tiling document geometrically")
     p.add_argument("file", help=".tiling document (or - for stdin)")
@@ -544,7 +532,7 @@ def run_command(argv) -> int:
         lines = [f"error: {exc}"]
 
     payload = {"command": args.command, "exit_code": code, **payload}
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:

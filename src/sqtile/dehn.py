@@ -15,7 +15,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .basis import extract_basis
-from .errors import AmbiguousComparison
 from .exactnum import LinExpr, rational_text
 from .hamel import y_area
 from .tiling import Tiling, is_square, validate
@@ -133,9 +132,10 @@ def refute_square_tiling(t: Tiling, *, y=DEFAULT_CERTIFICATE_Y) -> Refutation:
     the rectangle), TILE_NOT_SQUARE (the first tile with w != h), and
     ADDITIVITY_VIOLATED (the tiles' y-areas at the certificate y do not
     sum to the outer one).  At least one always fires; reporting "no
-    failure" is a hard error.  The basis is extracted from every side,
-    so every side is an extraction input and ``y_area`` never meets a
-    length outside the span.
+    failure" is a hard error.  A comparison the enclosures cannot settle
+    raises AmbiguousComparison, from ``decide`` or ``validate``.  The
+    basis is extracted from every side, so every side is an extraction
+    input and ``y_area`` never meets a length outside the span.
     """
     verdict = decide(t.outer_w, t.outer_h, y=y)
     if verdict.tilable:
@@ -146,11 +146,6 @@ def refute_square_tiling(t: Tiling, *, y=DEFAULT_CERTIFICATE_Y) -> Refutation:
     y = Fraction(y)
 
     report = validate(t)
-    if report.is_ambiguous:
-        raise AmbiguousComparison(
-            f"cannot certify the claimed tiling's geometry: {report}; "
-            "declare tighter generator enclosures and retry"
-        )
     if not report.is_valid:
         return Refutation(RefutationKind.GEOMETRY_INVALID, {"failures": report.as_dict()["failures"]})
 

@@ -12,15 +12,6 @@ class AmbiguousComparison(SqtileError):
     declared generator enclosures; declare tighter lo/hi brackets and retry.
     """
 
-    @classmethod
-    def overlap(cls, a, b) -> "AmbiguousComparison":
-        """The error for ordering ``a`` against ``b`` when the enclosure of
-        ``a - b`` contains zero."""
-        return cls(
-            f"cannot order {a} against {b}: enclosures overlap; "
-            "declare tighter generator enclosures"
-        )
-
 
 class TableMismatch(SqtileError):
     """Expressions over different generator tables were combined."""

@@ -209,9 +209,6 @@ class Interval:
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
     def scale(self, c) -> "Interval":
         c = _as_fraction(c)
         if c >= 0:
@@ -361,10 +358,6 @@ class LinExpr:
         return cls(table, {0: _as_fraction(value)})
 
     @classmethod
-    def of_symbol(cls, table: GeneratorTable, symbol: str, coeff=1) -> "LinExpr":
-        return cls(table, {table.index(symbol): _as_fraction(coeff)})
-
-    @classmethod
     def zero(cls, table: GeneratorTable) -> "LinExpr":
         return cls(table)
 
@@ -411,9 +404,6 @@ class LinExpr:
         if not isinstance(other, LinExpr):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return LinExpr(self.table, {i: -c for i, c in self._items})
@@ -478,7 +468,10 @@ class LinExpr:
             return LESS
         sign = (self - other).eval_interval().sign()
         if sign == 0:
-            raise AmbiguousComparison.overlap(self, other)
+            raise AmbiguousComparison(
+                f"cannot order {self} against {other}: enclosures overlap; "
+                "declare tighter generator enclosures"
+            )
         return sign
 
     def __str__(self):

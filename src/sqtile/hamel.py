@@ -73,9 +73,10 @@ def y_area(w: LinExpr, h: LinExpr, basis: Basis, y) -> Fraction:
 def additivity_check(t: Tiling, basis: Basis, ys) -> bool:
     """Exact additivity of the basis-relative area over a genuine cutting.
 
-    Validates the tiling first (InvalidTiling carries the report), then
-    checks, for every y in ``ys``, that the outer rectangle's area value
-    equals the exact rational sum of the tiles' area values.
+    Validates the tiling first (InvalidTiling carries the report of a
+    geometric failure; AmbiguousComparison propagates from ``validate``),
+    then checks, for every y in ``ys``, that the outer rectangle's area
+    value equals the exact rational sum of the tiles' area values.
     """
     report = validate(t)
     if not report.is_valid:

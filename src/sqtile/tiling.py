@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .errors import AmbiguousComparison
 from .exactnum import GeneratorTable, LinExpr
 
 __all__ = [
@@ -76,7 +75,7 @@ class Tiling:
 class Failure:
     """One validation failure: a kind, the tiles involved, and a witness."""
 
-    kind: str  # overlap | gap | out_of_bounds | nonpositive_side | ambiguous
+    kind: str  # overlap | gap | out_of_bounds | nonpositive_side
     tiles: tuple = ()
     cell: tuple | None = None
     witness: dict = field(default_factory=dict)
@@ -102,10 +101,6 @@ class ValidationReport:
     def is_valid(self) -> bool:
         return not self.failures
 
-    @property
-    def is_ambiguous(self) -> bool:
-        return any(f.kind == "ambiguous" for f in self.failures)
-
     def as_dict(self) -> dict:
         return {"verdict": self.verdict, "failures": [f.as_dict() for f in self.failures]}
 
@@ -125,26 +120,13 @@ def is_square(p: Placement) -> bool:
 def _side_failures(t: Tiling, zero, outer_w, outer_h, edges):
     """Nonpositive-side and out-of-bounds failures, by certified comparison."""
     failures = []
-
-    def sign_of(hi, lo, what, tiles):
-        """Certified sign of hi - lo; an ambiguity becomes a failure."""
-        try:
-            return hi.cmp(lo)
-        except AmbiguousComparison:
-            # worded as the sign of the difference, as the check is stated
-            detail = str(AmbiguousComparison.overlap(hi - lo, zero))
-            failures.append(Failure("ambiguous", tiles=tiles, witness={"detail": detail, "where": what}))
-            return None
-
     for name, e in (("outer_w", outer_w), ("outer_h", outer_h)):
-        s = sign_of(e, zero, name, ())
-        if s is not None and s <= 0:
+        if e.cmp(zero) <= 0:
             failures.append(Failure("nonpositive_side", witness={"side": name, "value": e}))
     for i, (p, (x, right, y, top)) in enumerate(zip(t.tiles, edges)):
         before = len(failures)
         for name, e in (("w", p.w), ("h", p.h)):
-            s = sign_of(e, zero, f"tile {i} {name}", (i,))
-            if s is not None and s <= 0:
+            if e.cmp(zero) <= 0:
                 failures.append(
                     Failure("nonpositive_side", tiles=(i,), witness={"side": name, "value": e})
                 )
@@ -157,8 +139,7 @@ def _side_failures(t: Tiling, zero, outer_w, outer_h, edges):
             ("right <= outer_w", right, outer_w),
             ("top <= outer_h", top, outer_h),
         ):
-            s = sign_of(hi, lo, f"tile {i} {cond}", (i,))
-            if s is not None and s < 0:
+            if hi.cmp(lo) < 0:
                 failures.append(
                     Failure("out_of_bounds", tiles=(i,), witness={"constraint": cond, "x": p.x, "y": p.y})
                 )
@@ -168,11 +149,15 @@ def _side_failures(t: Tiling, zero, outer_w, outer_h, edges):
 def validate(t: Tiling) -> ValidationReport:
     """Check that the tiles cut the outer rectangle exactly.
 
-    Failures are reported as data, never raised; an ambiguous certified
-    comparison becomes a failure of kind "ambiguous" (tighten the
-    generator enclosures and retry).  Every tile's right and top edge is
-    built once, and equal cut values share one object, so each distinct
-    value's enclosure is evaluated once.
+    Geometric failures (gap, overlap, out_of_bounds, nonpositive_side)
+    are reported as data.  A certified comparison the enclosures cannot
+    settle is not: the first one raises AmbiguousComparison naming the
+    pair (tighten the generator enclosures and retry).  Checks run in a
+    fixed order: sides, then bounds, then the cut sort, then the cell
+    grid; any side or bounds failure ends the check before the sort.
+    Every tile's right and top edge is built once, and equal cut values
+    share one object, so each distinct value's enclosure is evaluated
+    once.
     """
     zero = LinExpr.zero(t.table)
     xs = {zero: zero}
@@ -193,11 +178,8 @@ def validate(t: Tiling) -> ValidationReport:
         return ValidationReport(tuple(failures))
 
     certified = functools.cmp_to_key(LinExpr.cmp)
-    try:
-        x_cuts = sorted(xs, key=certified)
-        y_cuts = sorted(ys, key=certified)
-    except AmbiguousComparison as exc:
-        return ValidationReport((Failure("ambiguous", witness={"detail": str(exc)}),))
+    x_cuts = sorted(xs, key=certified)
+    y_cuts = sorted(ys, key=certified)
     x_index = {v: i for i, v in enumerate(x_cuts)}
     y_index = {v: i for i, v in enumerate(y_cuts)}
 

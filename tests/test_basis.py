@@ -249,7 +249,7 @@ def test_coords_of_inputs_sums_and_outside_lengths(sides, data):
     total = basis.coords(p + q)
     assert total == tuple(a + b for a, b in zip(basis.coords(p), basis.coords(q)))
     assert basis.combine(total) == p + q
-    outside = LinExpr.of_symbol(SPAN_TABLE, "sqrt7")
+    outside = parse_expr("1*sqrt7", SPAN_TABLE)
     with pytest.raises(NotInSpan):
         basis.coords(outside)
     with pytest.raises(NotInSpan):

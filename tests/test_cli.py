@@ -446,17 +446,19 @@ def test_cli_ambiguous_comparisons_exit_3(tmp_path, capsys):
         tmp_path, "amb.tiling", [("g", "1/2", "5/2")], ("2", "1"),
         [("0", "0", "1*g", "1"), ("1*g", "0", "2 - 1*g", "1")],
     )
-    for command in ("verify", "render"):
+    # every subcommand reports the first pair it could not order, in one shape
+    detail = "cannot order 2 against 1*g: enclosures overlap; declare tighter generator enclosures"
+    for command in ("validate", "verify", "render"):
         assert run(capsys, command, amb) == (
             3,
-            "ambiguous comparison: invalid: ambiguous tiles [0]; ambiguous tiles [1]\n"
+            f"ambiguous comparison: {detail}\n"
             "declare tighter enclosures with --gen and retry\n",
         )
         code, out = run(capsys, command, amb, "--format", "json")
         assert code == 3
         assert json.loads(out) == {
             "command": command, "exit_code": 3, "error": "ambiguous_comparison",
-            "detail": "invalid: ambiguous tiles [0]; ambiguous tiles [1]",
+            "detail": detail,
         }
     code, out = run(capsys, "render", amb, "--gen", "g=[99/100,101/100]")
     assert code == 0

@@ -146,7 +146,7 @@ def test_interval_basics():
     i = Interval(Fraction(1), Fraction(2))
     assert (i + i) == Interval(Fraction(2), Fraction(4))
     assert i.scale(-2) == Interval(Fraction(-4), Fraction(-2))
-    assert i.sign() == 1 and (-i).sign() == -1
+    assert i.sign() == 1 and i.scale(-1).sign() == -1
     assert Interval(Fraction(-1), Fraction(1)).sign() == 0
     with pytest.raises(ValueError):
         Interval(Fraction(2), Fraction(1))
@@ -187,7 +187,7 @@ def test_lin_combine_examples(table):
     third = LinExpr.constant(table, Fraction(1, 3))
     two_thirds = LinExpr.constant(table, Fraction(2, 3))
     assert third * 1 + two_thirds * 1 == LinExpr.constant(table, 1)
-    t3 = e * 1 + LinExpr.of_symbol(table, "sqrt3") * -1
+    t3 = e * 1 + parse_expr("1*sqrt3", table) * -1
     assert t3.coeffs == {0: Fraction(2), 1: Fraction(1), 2: Fraction(-1)}
 
 
@@ -234,11 +234,11 @@ def test_lin_cmp_examples():
 
 def test_lin_cmp_ambiguous():
     table = GeneratorTable([Generator("g", Fraction(1), Fraction(2))])
-    g = LinExpr.of_symbol(table, "g")
+    g = parse_expr("1*g", table)
     with pytest.raises(AmbiguousComparison):
         g.cmp(LinExpr.constant(table, Fraction(3, 2)))
     # symbolic equality wins even with a coarse enclosure
-    assert g.cmp(LinExpr.of_symbol(table, "g")) == EQUAL
+    assert g.cmp(parse_expr("1*g", table)) == EQUAL
 
 
 # Wide enclosures, so that disjoint and overlapping pairs are both common.
@@ -333,7 +333,7 @@ def test_parse_expr_grammar(table):
     e = parse_expr("2 + 1*sqrt2 - 1*sqrt3", table)
     assert e.coeffs == {0: Fraction(2), 1: Fraction(1), 2: Fraction(-1)}
     assert parse_expr("  2+1*sqrt2-1*sqrt3 ", table) == e
-    assert parse_expr("sqrt2", table) == LinExpr.of_symbol(table, "sqrt2")
+    assert parse_expr("sqrt2", table) == parse_expr("1*sqrt2", table)
     assert parse_expr("-1/2", table) == LinExpr.constant(table, Fraction(-1, 2))
     assert parse_expr("2 -1*sqrt2", table) == parse_expr("2 - 1*sqrt2", table)
     assert parse_expr("1/3 + 2/3", table) == LinExpr.constant(table, 1)

@@ -10,7 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqtile import (
+    AmbiguousComparison,
     Contradiction,
+    Generator,
+    GeneratorTable,
     InvalidTiling,
     LinExpr,
     Placement,
@@ -171,6 +174,24 @@ def test_additivity_requires_valid_geometry(fig4, table):
     )
     with pytest.raises(InvalidTiling):
         additivity_check(broken, basis, [Fraction(-1)])
+
+
+def test_additivity_ambiguous_geometry_raises_ambiguity():
+    coarse = GeneratorTable([Generator("g", Fraction(9, 10), Fraction(11, 10))])
+    e = lambda s: parse_expr(s, coarse)
+    t = Tiling(
+        e("2"),
+        e("1"),
+        (
+            Placement(e("0"), e("0"), e("1*g"), e("1")),
+            Placement(e("1"), e("0"), e("2 - 1*g"), e("1")),
+        ),
+        coarse,
+    )
+    basis = extract_basis(t.side_lengths())
+    # the geometry is undecided, not invalid
+    with pytest.raises(AmbiguousComparison, match=r"cannot order 2 against 3 - 1\*g"):
+        additivity_check(t, basis, [Fraction(-1)])
 
 
 def test_additivity_random_guillotine(table):

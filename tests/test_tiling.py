@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from sqtile import (
+    AmbiguousComparison,
     Generator,
     GeneratorTable,
     Placement,
@@ -74,7 +75,7 @@ def test_validate_nonpositive_side(table):
     assert any(f.kind == "nonpositive_side" and f.tiles == (0,) for f in report.failures)
 
 
-def test_validate_ambiguous_surfaces_in_report():
+def test_validate_ambiguous_raises():
     table = GeneratorTable([Generator("g", Fraction(9, 10), Fraction(11, 10))])
     e = lambda s: parse_expr(s, table)
     t = Tiling(
@@ -86,8 +87,8 @@ def test_validate_ambiguous_surfaces_in_report():
         ),
         table,
     )
-    report = validate(t)
-    assert report.is_ambiguous and not report.is_valid
+    with pytest.raises(AmbiguousComparison, match=r"cannot order 2 against 3 - 1\*g"):
+        validate(t)
 
 
 def test_is_square(table):

@@ -4,15 +4,22 @@ The reference below is the validator as it was before cut values shared
 one object and comparisons answered from cached enclosures: every bound
 check builds ``hi - lo`` and compares it with 0, every comparison builds
 the difference of its two sides and evaluates that enclosure, and the
-cuts are sorted with that comparison.  The reports must agree exactly,
-ambiguity details included.
+cuts are sorted with that comparison.  It reports every ambiguity as a
+failure of kind "ambiguous"; ``validate`` raises AmbiguousComparison at
+the first one instead.  So ``validate`` must raise exactly when the
+reference reports an ambiguity, naming a pair whose difference is the
+one the reference's first ambiguous failure names, and must otherwise
+return the reference's report exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+import re
 from fractions import Fraction
+
+import pytest
 
 from sqtile import (
     EQUAL,
@@ -174,9 +181,24 @@ def _ambiguous_cases():
     )
 
 
+_PAIR = re.compile(r"cannot order (.+) against (.+): enclosures overlap; ")
+
+
+def _named_difference(detail: str, table) -> LinExpr:
+    a, b = _PAIR.match(detail).groups()
+    return parse_expr(a, table) - parse_expr(b, table)
+
+
 def _assert_same(t: Tiling):
     want = reference_validate(t).as_dict()
-    assert validate(t).as_dict() == want
+    ambiguous = [f for f in want["failures"] if f["kind"] == "ambiguous"]
+    if not ambiguous:
+        assert validate(t).as_dict() == want
+        return want
+    with pytest.raises(AmbiguousComparison) as info:
+        validate(t)
+    first = ambiguous[0]["witness"]["detail"]
+    assert _named_difference(str(info.value), t.table) == _named_difference(first, t.table)
     return want
 
 
@@ -208,3 +230,28 @@ def test_ambiguous_tilings_match_reference_including_detail():
         want = _assert_same(t)
         assert [f["kind"] for f in want["failures"]] == ["ambiguous"]
         assert want["failures"][0]["witness"]["detail"].startswith("cannot order ")
+
+
+def _coarse_mutations(rng, t: Tiling):
+    """The mutations above, plus one tile widened by -1 + g or given that
+    width, whose sign the coarse bracket of g cannot settle."""
+    yield from _mutations(rng, t)
+    k = rng.randrange(len(t.tiles))
+    p = t.tiles[k]
+    slack = parse_expr("-1 + 1*g", t.table)
+    for w in (p.w + slack, slack):
+        q = Placement(p.x, p.y, w, p.h)
+        yield Tiling(t.outer_w, t.outer_h, t.tiles[:k] + (q,) + t.tiles[k + 1 :], t.table)
+
+
+def test_coarse_tilings_and_mutations_match_reference():
+    table = GeneratorTable([Generator("g", Fraction(9, 10), Fraction(11, 10))])
+    e = lambda s: parse_expr(s, table)
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(30):
+        t = guillotine_tiling(rng, e("2 + 1*g"), e("1 + 1*g"), depth=4)
+        for case in (t, *_coarse_mutations(rng, t)):
+            want = _assert_same(case)
+            outcomes.add(any(f["kind"] == "ambiguous" for f in want["failures"]))
+    assert outcomes == {True, False}
