@@ -8,6 +8,11 @@ input length has unique rational coordinates.  This scan is the
 package's one commensurability test: the outer side t0 is selected
 exactly when it is not a rational multiple of s0, and otherwise its
 single coordinate is that ratio.
+
+Each selected element adds one echelon row that is never changed
+afterwards: its generator vector is 1 at its own pivot and 0 at the
+pivot of every row selected before it, so one forward pass over the
+rows in selection order zeroes every pivot.
 """
 
 from __future__ import annotations
@@ -18,22 +23,6 @@ from .errors import NotInSpan
 from .exactnum import LinExpr
 
 __all__ = ["Basis", "extract_basis"]
-
-
-class _Row:
-    """A reduced elimination row.
-
-    ``vec`` is a dense generator-coordinate vector with 1 at ``pivot``
-    and 0 at every other row's pivot; ``rep`` expresses ``vec`` as a
-    combination of the selected elements.
-    """
-
-    __slots__ = ("pivot", "vec", "rep")
-
-    def __init__(self, pivot, vec, rep):
-        self.pivot = pivot
-        self.vec = vec
-        self.rep = rep
 
 
 class Basis:
@@ -79,9 +68,7 @@ class Basis:
         coordinate is 0 for every length in the span.
         """
         c = self.coords(p)
-        a = c[0] if c else Fraction(0)
-        b = c[1] if self.has_t0 and len(c) > 1 else Fraction(0)
-        return a, b
+        return c[0], c[1] if self.has_t0 else Fraction(0)
 
     def combine(self, coords) -> LinExpr:
         """Rebuild the expression sum(coords[i] * elements[i])."""
@@ -94,23 +81,23 @@ class Basis:
 def _reduce(rows, vector, width):
     """One elimination pass of the dense ``vector`` against ``rows``.
 
-    Returns the residue, which is all zero exactly when ``vector`` is in
-    the rows' span, and the coordinates of the eliminated part over the
-    first ``width`` selected elements.  ``vector`` is reduced in place.
+    ``rows`` are ``(pivot, vec, rep)`` tuples in selection order; each
+    ``vec`` is 1 at its pivot and 0 at every earlier row's pivot, and
+    ``rep`` expresses ``vec`` over the selected elements.  Walking them
+    in that order zeroes every pivot of ``vector``, so the residue is all
+    zero exactly when ``vector`` is in the rows' span.  Returns the
+    residue and the coordinates of the eliminated part over the first
+    ``width`` selected elements.  ``vector`` is reduced in place.
     """
     acc = [Fraction(0)] * width
-    for row in rows:
-        f = vector[row.pivot]
+    for pivot, vec, rep in rows:
+        f = vector[pivot]
         if f != 0:
-            for k, v in enumerate(row.vec):
+            for k, v in enumerate(vec):
                 vector[k] -= f * v
-            for k, v in enumerate(row.rep):
+            for k, v in enumerate(rep):
                 acc[k] += f * v
     return vector, acc
-
-
-def _pad(rep, n):
-    return rep + [Fraction(0)] * (n - len(rep))
 
 
 def extract_basis(lengths) -> Basis:
@@ -134,7 +121,7 @@ def extract_basis(lengths) -> Basis:
             raise ValueError(f"length {p} must be positive")
 
     elements: list[LinExpr] = []
-    rows: list[_Row] = []
+    rows: list[tuple] = []
     input_coords: list[list[Fraction]] = []
     has_t0 = True
 
@@ -147,29 +134,15 @@ def extract_basis(lengths) -> Basis:
             input_coords.append(acc)
             continue
 
-        # independent: underline p as a new element
+        # independent: underline p as a new element; the residue is
+        # already 0 at every earlier pivot, so the new row is echelon
         k = len(elements)
         elements.append(p)
         pivot = next(i for i, v in enumerate(residue) if v != 0)
         inv = Fraction(1) / residue[pivot]
-        vec = [v * inv for v in residue]
-        rep = [-c * inv for c in acc] + [inv]
-        # keep the rows mutually reduced so a single pass solves exactly
-        for row in rows:
-            g = row.vec[pivot]
-            if g != 0:
-                for i, v in enumerate(vec):
-                    row.vec[i] -= g * v
-                row.rep = _pad(row.rep, k + 1)
-                for i, v in enumerate(rep):
-                    row.rep[i] -= g * v
-        rows.append(_Row(pivot, vec, rep))
-        unit = [Fraction(0)] * (k + 1)
-        unit[k] = Fraction(1)
-        input_coords.append(unit)
+        rows.append((pivot, tuple(v * inv for v in residue), tuple(-c * inv for c in acc) + (inv,)))
+        input_coords.append([Fraction(0)] * k + [Fraction(1)])
 
     width = len(elements)
-    coords = [_pad(list(v), width) for v in input_coords]
-    for row in rows:
-        row.rep = _pad(row.rep, width)
+    coords = [v + [Fraction(0)] * (width - len(v)) for v in input_coords]
     return Basis(elements, rows, lengths, coords, has_t0)

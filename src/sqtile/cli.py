@@ -111,6 +111,8 @@ def parse_document(text) -> TilingDocument:
         ) from exc
     except ValueError as exc:  # a JSON number past sys.get_int_max_str_digits() digits
         raise DocumentError("invalid JSON: a number has too many digits") from exc
+    except RecursionError as exc:
+        raise DocumentError("invalid JSON: nested too deeply") from exc
 
     _expect(isinstance(raw, dict), "document must be a JSON object")
     unknown = set(raw) - {"generators", "outer", "tiles"}
@@ -286,6 +288,11 @@ def _parse_gen_flag(flag: str) -> Generator:
     return Generator(sym, parse_rational(lo), parse_rational(hi))
 
 
+def _gen_flags(args) -> tuple:
+    """Every --gen flag, parsed; the table rejects a repeated symbol."""
+    return GeneratorTable(_parse_gen_flag(s) for s in args.gen).generators
+
+
 def _referenced_symbols(texts) -> list:
     seen = []
     for text in texts:
@@ -327,13 +334,16 @@ def _negative_y(text: str) -> Fraction:
 
 
 def _emit(out_path, content: str):
-    with open(out_path, "w", encoding="utf-8") as f:
-        f.write(content)
+    try:
+        with open(out_path, "w", encoding="utf-8") as f:
+            f.write(content)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def _cmd_validate(args):
     doc = _read_document(args.file)
-    _, t = build_tiling(doc, [_parse_gen_flag(s) for s in args.gen])
+    _, t = build_tiling(doc, _gen_flags(args))
     report = validate(t)
     payload = report.as_dict()
     code = EXIT_OK if report.is_valid else EXIT_REFUTED
@@ -344,7 +354,7 @@ def _cmd_validate(args):
 
 def _cmd_decide(args):
     y = _negative_y(args.y)
-    gen_flags = [_parse_gen_flag(s) for s in args.gen]
+    gen_flags = _gen_flags(args)
     table = _table_for_exprs([args.width, args.height], gen_flags)
     w = parse_expr(args.width, table)
     h = parse_expr(args.height, table)
@@ -366,7 +376,7 @@ def _cmd_decide(args):
 def _cmd_verify(args):
     y = _negative_y(args.y)
     doc = _read_document(args.file)
-    _, t = build_tiling(doc, [_parse_gen_flag(s) for s in args.gen])
+    _, t = build_tiling(doc, _gen_flags(args))
     verdict = decide(t.outer_w, t.outer_h, y=y)
     if not verdict.tilable:
         refutation = refute_square_tiling(t, y=y)
@@ -415,7 +425,7 @@ def _cmd_construct(args):
 
 
 def _cmd_analyze_good(args):
-    gen_flags = [_parse_gen_flag(s) for s in args.gen]
+    gen_flags = _gen_flags(args)
     texts = [args.width, args.height] + list(args.side)
     table = _table_for_exprs(texts, gen_flags)
     to_num = lambda s: sqrt2_expr_to_num(parse_expr(s, table))
@@ -436,7 +446,7 @@ def _cmd_analyze_good(args):
 
 def _cmd_render(args):
     doc = _read_document(args.file)
-    _, t = build_tiling(doc, [_parse_gen_flag(s) for s in args.gen])
+    _, t = build_tiling(doc, _gen_flags(args))
     svg = _svg(t, args.precision)
     payload = {"svg": svg}
     if args.out:
@@ -460,7 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
         if gen:
             p.add_argument("--gen", action="append", default=[], metavar="SYMBOL=[lo,hi]",
-                           help="declare or override a generator enclosure (repeatable)")
+                           help="declare or override a generator enclosure "
+                           "(repeatable, at most once per symbol)")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("validate", help="check a tiling document geometrically")

@@ -199,6 +199,14 @@ def test_selected_count_equals_independent_rank_oracle():
         assert basis.rank == len(basis.elements)
         for p, coords in zip(basis.inputs, basis.input_coords):
             assert basis.combine(coords) == p
+        # non-inputs are solved by the elimination pass, not the input table
+        for _ in range(3):
+            q = LinExpr.zero(table)
+            for p in lengths:
+                big = 10 ** rng.randint(1, 64)
+                q = q + p * Fraction(rng.randint(-big, big), rng.randint(1, big))
+            assert q not in basis.inputs
+            assert basis.combine(basis.coords(q)) == q
 
 
 def test_tail_order_changes_set_but_not_span(table):

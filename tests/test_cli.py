@@ -328,11 +328,34 @@ def test_cli_verify_confirms_square_tiling(tmp_path, capsys):
     assert "confirmed" in out
 
 
+def _input_error(capsys, command, *argv):
+    """The JSON report of an invocation that must be an input error."""
+    code, out = run(capsys, command, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["exit_code"], payload["error"]) == (2, 2, "input")
+    return payload["detail"]
+
+
 def test_cli_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.tiling"
     bad.write_text("{")
     assert run(capsys, "validate", str(bad))[0] == 2
     assert run(capsys, "validate", str(tmp_path / "missing.tiling"))[0] == 2
+    bad.write_text("[" * 200000 + "]" * 200000)
+    assert _input_error(capsys, "validate", str(bad)) == "invalid JSON: nested too deeply"
+
+
+def test_cli_unwritable_out_exit_2(tmp_path, fig4_path, capsys):
+    for argv in (["construct", "--ratio", "3/2"], ["render", fig4_path]):
+        target = tmp_path / "missing" / "x.out"
+        detail = _input_error(capsys, *argv, "--out", str(target))
+        assert detail == f"cannot write {target}: No such file or directory"
+        assert not target.parent.exists()
+
+
+def test_cli_repeated_gen_symbol_exit_2(fig4_path, capsys):
+    code = run_command(["validate", fig4_path, "--gen", "g=[1,2]", "--gen", "g=[1,3]"])
+    assert (code, *capsys.readouterr()) == (2, "error: duplicate generator symbol 'g'\n", "")
 
 
 def test_cli_ambiguous_exit_3(tmp_path, capsys):
