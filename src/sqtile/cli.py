@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -186,19 +187,21 @@ def build_tiling(doc: TilingDocument, overrides=()):
 
     ``overrides`` are Generator objects that replace or extend the
     declared enclosures (the retry path after an ambiguous comparison).
+    Each distinct expression text is parsed once, in document order, so
+    equal texts share one LinExpr and one cached enclosure.
     """
     table = _build_table(doc, overrides)
-    outer_w = parse_expr(doc.outer_w, table)
-    outer_h = parse_expr(doc.outer_h, table)
-    tiles = tuple(
-        Placement(
-            parse_expr(t.x, table),
-            parse_expr(t.y, table),
-            parse_expr(t.w, table),
-            parse_expr(t.h, table),
-        )
-        for t in doc.tiles
-    )
+    compiled = {}
+
+    def expr(text):
+        e = compiled.get(text)
+        if e is None:
+            e = compiled[text] = parse_expr(text, table)
+        return e
+
+    outer_w = expr(doc.outer_w)
+    outer_h = expr(doc.outer_h)
+    tiles = tuple(Placement(expr(t.x), expr(t.y), expr(t.w), expr(t.h)) for t in doc.tiles)
     return table, Tiling(outer_w, outer_h, tiles, table)
 
 
@@ -543,11 +546,19 @@ def run_command(argv) -> int:
         lines = [f"error: {exc}"]
 
     payload = {"command": args.command, "exit_code": code, **payload}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -1,11 +1,14 @@
 """Rectangle tilings and their exact geometric validation.
 
-The validator extends every tile edge across the outer rectangle,
-producing a product grid of cells, and accepts exactly when every cell
-is owned by exactly one tile, every tile is exactly its block of cells,
-and everything stays inside the outer rectangle.  All decisions are
-made by symbolic equality or certified interval comparison; floating
-point is never consulted.
+The validator sorts the distinct x and y edge values (cuts) once by
+certified comparison, then sweeps the x-cuts left to right on integer
+cut indices.  Between two neighbouring x-cuts lies a slab.  The
+validator accepts exactly when every slab is covered exactly once along
+its whole height and everything stays inside the outer rectangle.  Only
+a failing slab is expanded into its cells of the refined grid (every
+tile edge extended across the rectangle), so failure witnesses are
+refined-grid cells.  All decisions are made by symbolic equality or
+certified interval comparison; floating point is never consulted.
 """
 
 from __future__ import annotations
@@ -153,11 +156,28 @@ def validate(t: Tiling) -> ValidationReport:
     are reported as data.  A certified comparison the enclosures cannot
     settle is not: the first one raises AmbiguousComparison naming the
     pair (tighten the generator enclosures and retry).  Checks run in a
-    fixed order: sides, then bounds, then the cut sort, then the cell
-    grid; any side or bounds failure ends the check before the sort.
-    Every tile's right and top edge is built once, and equal cut values
-    share one object, so each distinct value's enclosure is evaluated
-    once.
+    fixed order: sides, then bounds, then the cut sort, then coverage;
+    any side or bounds failure ends the check before the sort.  Every
+    tile's right and top edge is built once, and equal cut values share
+    one object, so each distinct value's enclosure is evaluated once.
+
+    Coverage is one sweep over the x-cuts.  ``net[j]`` counts the active
+    tiles (those spanning the current slab) whose y-span starts at y-cut
+    ``j``, minus those whose y-span ends there.  Cell ``j`` of the slab
+    lies in a tile's span ``[lo, hi)`` iff ``lo <= j < hi``, so it is
+    covered ``sum(net[:j + 1])`` times.  Every cell is covered exactly
+    once iff those prefix sums are all 1, that is iff ``net`` equals the
+    exact-cover profile ``1`` at 0, ``0`` inside and ``-1`` at ``ny``
+    (``net`` always sums to 0, which fixes the last entry).  ``bad``
+    counts the indices where ``net`` differs from that profile, so slab
+    ``i`` is exact iff ``bad == 0`` once the tiles ending and starting at
+    x-cut ``i`` are applied.  Only a failing slab is expanded into its
+    column of owner lists, in tile order, giving the same gap and overlap
+    failures, in the same (i, j) order, as a full grid of cells.
+
+    Cost: O(n log n) certified comparisons for the sort, then O(n + ny)
+    integer work and memory for the sweep; a failing slab with c covered
+    cells adds O(ny + c log c).
     """
     zero = LinExpr.zero(t.table)
     xs = {zero: zero}
@@ -184,18 +204,50 @@ def validate(t: Tiling) -> ValidationReport:
     y_index = {v: i for i, v in enumerate(y_cuts)}
 
     nx, ny = len(x_cuts) - 1, len(y_cuts) - 1
-    owners = [[[] for _ in range(ny)] for _ in range(nx)]
+    starts = [[] for _ in range(nx + 1)]
+    ends = [[] for _ in range(nx + 1)]
+    spans = []
     for idx, (x, right, y, top) in enumerate(edges):
-        for i in range(x_index[x], x_index[right]):
-            for j in range(y_index[y], y_index[top]):
-                owners[i][j].append(idx)
+        starts[x_index[x]].append(idx)
+        ends[x_index[right]].append(idx)
+        spans.append((y_index[y], y_index[top]))
+
+    target = [0] * (ny + 1)
+    target[0], target[ny] = 1, -1
+    net = [0] * (ny + 1)
+    bad = 2  # net starts all zero: wrong at 0 and at ny
+    active = set()
+
+    def bump(j, d):
+        nonlocal bad
+        was = net[j] != target[j]
+        net[j] += d
+        bad += (net[j] != target[j]) - was
+
     for i in range(nx):
-        for j in range(ny):
+        for idx in ends[i]:
+            active.remove(idx)
+            lo, hi = spans[idx]
+            bump(lo, -1)
+            bump(hi, 1)
+        for idx in starts[i]:
+            active.add(idx)
+            lo, hi = spans[idx]
+            bump(lo, 1)
+            bump(hi, -1)
+        if not bad:
+            continue
+        column = [[] for _ in range(ny)]
+        for idx in sorted(active):
+            lo, hi = spans[idx]
+            for j in range(lo, hi):
+                column[j].append(idx)
+        for j, owners in enumerate(column):
             cell_w = {"cell_x": x_cuts[i], "cell_y": y_cuts[j]}
-            if not owners[i][j]:
+            if not owners:
                 failures.append(Failure("gap", cell=(i, j), witness=cell_w))
-            elif len(owners[i][j]) > 1:
+            elif len(owners) > 1:
                 failures.append(
-                    Failure("overlap", tiles=tuple(owners[i][j]), cell=(i, j), witness=cell_w)
+                    Failure("overlap", tiles=tuple(owners), cell=(i, j), witness=cell_w)
                 )
     return ValidationReport(tuple(failures))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +13,31 @@ import pytest
 from sqtile import Generator, GeneratorTable, LinExpr, Placement, Tiling, parse_document
 
 DATA = Path(__file__).parent / "data"
+
+
+def _load_workloads():
+    """The benchmark's input generators, loaded by file path (no copy)."""
+    name = "sqtile_bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+workloads = _load_workloads()
+
+# Two non-guillotine squared rectangles, as Bouwkamp codes: Moron's 33 x 32
+# and Duijvestijn's 112 x 112 simple perfect squared square.
+BOUWKAMP_CODES = {
+    "moron": workloads.MORON_CODE,
+    "duijvestijn": (
+        (50, 35, 27), (8, 19), (15, 17, 11), (6, 24), (29, 25, 9, 2),
+        (7, 18), (16,), (42,), (4, 37), (33,),
+    ),
+}
 
 
 def tight_enclosure(n: int, digits: int = 60):
@@ -72,6 +99,16 @@ def guillotine_tiling(rng, outer_w: LinExpr, outer_h: LinExpr, depth: int = 6) -
     zero = LinExpr.zero(table)
     split(zero, zero, outer_w, outer_h, depth)
     return Tiling(outer_w, outer_h, tuple(tiles), table)
+
+
+def bouwkamp_tiling(code, table: GeneratorTable, x_unit: LinExpr | None = None) -> Tiling:
+    """The squared rectangle of a Bouwkamp code; every x value and width
+    is a multiple of ``x_unit`` (default 1), so a generator stretches it."""
+    squares, w, h = workloads.bouwkamp_squares(code)
+    one = LinExpr.constant(table, 1)
+    x_unit = one if x_unit is None else x_unit
+    tiles = tuple(Placement(x_unit * x, one * y, x_unit * s, one * s) for x, y, s in squares)
+    return Tiling(x_unit * w, one * h, tiles, table)
 
 
 @pytest.fixture(scope="session")

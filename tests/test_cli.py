@@ -24,6 +24,8 @@ from sqtile import (
     document_from_tiling,
     euclid_tiling,
     parse_document,
+    parse_expr,
+    refute_square_tiling,
     render_svg,
     run_command,
     serialize_document,
@@ -31,8 +33,9 @@ from sqtile import (
     verify_certificate,
 )
 from sqtile.cli import DEFAULT_ENCLOSURES, GeneratorDecl, TileDecl, TilingDocument
+from sqtile.dehn import RefutationKind
 
-from conftest import guillotine_tiling, tight_table
+from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
 
 
 # --- default enclosures -------------------------------------------------------
@@ -523,12 +526,16 @@ def test_cli_render_invalid_document(tmp_path, capsys):
     }
 
 
-def _python(*args):
-    """Run a fresh interpreter with this package importable."""
+def _python_env():
+    """The environment of a fresh interpreter with this package importable."""
     src = str(Path(sqtile.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _python(*args):
+    """Run a fresh interpreter with this package importable."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_python_env(), timeout=60)
 
 
 def test_cli_module_run_has_clean_stderr():
@@ -536,6 +543,19 @@ def test_cli_module_run_has_clean_stderr():
     assert proc.returncode == 0
     assert proc.stdout == "tilable: height/width = 2\n"
     assert proc.stderr == ""
+
+
+def test_cli_closed_stdout_exits_with_the_command_code():
+    """``sqtile construct ... | head -c 10``: the report (2,000 squares,
+    far more than a pipe buffer) meets a closed pipe, yet the process
+    exits 0, as construct does, with nothing on stderr."""
+    argv = [sys.executable, "-m", "sqtile.cli", "construct", "--ratio", "2000", "--format", "json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env()) as proc:
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_import_leaves_cli_unloaded():
@@ -610,3 +630,24 @@ def test_cli_render_precision_past_int_digit_limit(fig4_path, capsys):
             Decimal(1).scaleb(-5000), rounding=ROUND_HALF_EVEN
         )
     assert view_box[2] == str(want)
+
+
+@pytest.mark.parametrize("name", sorted(BOUWKAMP_CODES))
+def test_bouwkamp_squares_confirm_and_stretched_refute(name, tmp_path, capsys):
+    """Non-guillotine squared rectangles: verify confirms them with ratio
+    h/w; stretched in x by sqrt2 they stay valid rectangle tilings, and
+    the refutation names a tile that is not a square."""
+    table = tight_table(2)
+    _, w, h = workloads.bouwkamp_squares(BOUWKAMP_CODES[name])
+    t = bouwkamp_tiling(BOUWKAMP_CODES[name], table)
+    assert validate(t).is_valid
+    doc = tmp_path / f"{name}.tiling"
+    doc.write_text(serialize_document(document_from_tiling(t)))
+    code, out = run(capsys, "verify", str(doc), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "verify", "exit_code": 0, "verdict": "confirmed", "ratio": str(Fraction(h, w)),
+    }
+    stretched = bouwkamp_tiling(BOUWKAMP_CODES[name], table, parse_expr("1*sqrt2", table))
+    assert validate(stretched).is_valid
+    assert refute_square_tiling(stretched).kind is RefutationKind.TILE_NOT_SQUARE

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,14 @@ from sqtile import (
     GeneratorTable,
     Placement,
     Tiling,
+    build_tiling,
     is_square,
+    parse_document,
     parse_expr,
     validate,
 )
 
-from conftest import guillotine_tiling, tight_table
+from conftest import guillotine_tiling, tight_table, workloads
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +146,20 @@ def test_guillotine_tilings_validate_and_mutations_fail(table):
         rep = validate(duplicated)
         assert not rep.is_valid
         assert any(f.kind == "overlap" for f in rep.failures)
+
+
+def test_validate_memory_is_linear_in_tiles():
+    """An 800-tile log-cabin spiral: no two cut lines align, so its refined
+    grid has 160,400 cells.  One owner list per cell would need about
+    16 MB, so the bound fails any validator whose memory grows with the
+    cells; the sweep's O(n) integers stay under 1 MB."""
+    doc = workloads.log_cabin(random.Random(800), 800)
+    _, t = build_tiling(parse_document(doc.data))
+    tracemalloc.start()
+    try:
+        report = validate(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_valid
+    assert peak < 4_000_000

@@ -20,6 +20,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqtile import (
     EQUAL,
@@ -34,7 +36,7 @@ from sqtile import (
 )
 from sqtile.tiling import Failure, ValidationReport
 
-from conftest import guillotine_tiling, tight_table
+from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, tight_table
 
 
 def _ref_cmp(a: LinExpr, b: LinExpr) -> int:
@@ -255,3 +257,50 @@ def test_coarse_tilings_and_mutations_match_reference():
             want = _assert_same(case)
             outcomes.add(any(f["kind"] == "ambiguous" for f in want["failures"]))
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(BOUWKAMP_CODES))
+def test_bouwkamp_squares_and_mutations_match_reference(name):
+    table = tight_table(2)
+    rng = random.Random(5)
+    for unit in (None, parse_expr("1*sqrt2", table)):
+        t = bouwkamp_tiling(BOUWKAMP_CODES[name], table, unit)
+        assert _assert_same(t)["verdict"] == "valid"
+        for _ in range(10):
+            for m in _mutations(rng, t):
+                _assert_same(m)
+
+
+_TABLE = tight_table(2)
+# In increasing order, so list index order is value order.
+_LATTICE = [parse_expr(s, _TABLE) for s in ("0", "1/2", "1/2*sqrt2", "1", "1*sqrt2", "3/2", "2")]
+_ODD = st.sampled_from([False] * 29 + [True])
+
+
+def _interval(draw, bound):
+    """A lattice interval [lo, hi] inside [0, _LATTICE[bound]] as (lo, hi - lo);
+    now and then empty, reversed or running past the bound."""
+    lo = draw(st.integers(0, bound - 1))
+    hi = draw(st.integers(lo + 1, bound))
+    if draw(_ODD):
+        lo, hi = draw(st.sampled_from([(lo, lo), (hi, lo), (lo, len(_LATTICE) - 1)]))
+    return _LATTICE[lo], _LATTICE[hi] - _LATTICE[lo]
+
+
+@st.composite
+def _lattice_tilings(draw):
+    """1-10 tiles with corners and far edges on a lattice over sqrt2: most
+    of them overlap in places and leave gaps in others, in any layout,
+    guillotine or not."""
+    outer = [0 if draw(_ODD) else draw(st.integers(1, len(_LATTICE) - 1)) for _ in "wh"]
+    tiles = []
+    for _ in range(draw(st.integers(1, 10))):
+        (x, w), (y, h) = (_interval(draw, max(b, 1)) for b in outer)
+        tiles.append(Placement(x, y, w, h))
+    return Tiling(_LATTICE[outer[0]], _LATTICE[outer[1]], tuple(tiles), _TABLE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_tilings())
+def test_lattice_tilings_match_reference(t):
+    assert validate(t).as_dict() == reference_validate(t).as_dict()
