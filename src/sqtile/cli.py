@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import construct as construct_mod
-from .dehn import decide, refute_square_tiling
+from .dehn import _refute, decide
 from .errors import AmbiguousComparison, DocumentError, InvalidTiling, SqtileError
 from .exactnum import (
     Generator,
@@ -382,7 +382,7 @@ def _cmd_verify(args):
     _, t = build_tiling(doc, _gen_flags(args))
     verdict = decide(t.outer_w, t.outer_h, y=y)
     if not verdict.tilable:
-        refutation = refute_square_tiling(t, y=y)
+        refutation = _refute(t, verdict)
         payload = {
             "verdict": "refuted",
             "refutation": refutation.as_dict(),

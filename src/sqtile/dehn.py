@@ -137,13 +137,17 @@ def refute_square_tiling(t: Tiling, *, y=DEFAULT_CERTIFICATE_Y) -> Refutation:
     basis is extracted from every side, so every side is an extraction
     input and ``y_area`` never meets a length outside the span.
     """
-    verdict = decide(t.outer_w, t.outer_h, y=y)
+    return _refute(t, decide(t.outer_w, t.outer_h, y=y))
+
+
+def _refute(t: Tiling, verdict: Verdict) -> Refutation:
+    """``refute_square_tiling`` past its ``decide``, at the verdict's y."""
     if verdict.tilable:
         raise ValueError(
             f"outer sides are commensurable (ratio {rational_text(verdict.ratio)}); "
             "nothing to refute, use the constructive path"
         )
-    y = Fraction(y)
+    y = verdict.certificate.y
 
     report = validate(t)
     if not report.is_valid:

@@ -5,6 +5,12 @@ interval comparison.
 Rationals are stdlib ``fractions.Fraction`` (arbitrary precision, always
 canonical).  Everything built on top of them is exact; floating point
 never enters any decision.
+
+Enclosures are computed on integers: each bracket is held as
+``(lo_num, lo_den, hi_num, hi_den)`` and each expression caches its two
+reduced bounds in that form, so ``LinExpr.cmp`` orders disjoint pairs by
+cross-multiplication.  The integers stay in this module; every value it
+returns is a ``Fraction``, the one termwise ``Fraction`` arithmetic gives.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 from .errors import AmbiguousComparison, DocumentError, TableMismatch
 
@@ -206,15 +213,6 @@ class Interval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def scale(self, c) -> "Interval":
-        c = _as_fraction(c)
-        if c >= 0:
-            return Interval(c * self.lo, c * self.hi)
-        return Interval(c * self.hi, c * self.lo)
-
     def sign(self) -> int:
         """-1 or 1 when the interval is separated from 0, else 0."""
         if self.lo > 0:
@@ -266,7 +264,7 @@ class GeneratorTable:
     generators follow in declaration order.
     """
 
-    __slots__ = ("_generators", "_index")
+    __slots__ = ("_generators", "_index", "_brackets")
 
     def __init__(self, generators=()):
         gens = tuple(generators)
@@ -278,6 +276,9 @@ class GeneratorTable:
         self._generators = gens
         self._index = {g.symbol: i + 1 for i, g in enumerate(gens)}
         self._index[UNIT_SYMBOL] = 0
+        self._brackets = ((1, 1, 1, 1),) + tuple(
+            (g.lo.numerator, g.lo.denominator, g.hi.numerator, g.hi.denominator) for g in gens
+        )
 
     @property
     def generators(self) -> tuple:
@@ -428,14 +429,26 @@ class LinExpr:
         return h
 
     def eval_interval(self) -> Interval:
-        """Certified enclosure of the real value, exact for constants."""
-        out = self._enclosure
-        if out is None:
-            out = Interval.point(0)
+        """Certified enclosure of the real value, exact for constants.
+
+        Both bounds are summed on integers in one pass (a negative
+        coefficient swaps the bracket ends), reduced once and cached.
+        """
+        b = self._enclosure
+        if b is None:
+            brackets = self.table._brackets
+            lo_n, lo_d, hi_n, hi_d = 0, 1, 0, 1
             for i, c in self._items:
-                out = out + self.table.enclosure(i).scale(c)
-            object.__setattr__(self, "_enclosure", out)
-        return out
+                p, q = c.numerator, c.denominator
+                ln, ld, hn, hd = brackets[i]
+                if p < 0:
+                    ln, ld, hn, hd = hn, hd, ln, ld
+                lo_n, lo_d = lo_n * q * ld + p * ln * lo_d, lo_d * q * ld
+                hi_n, hi_d = hi_n * q * hd + p * hn * hi_d, hi_d * q * hd
+            g, h = gcd(lo_n, lo_d), gcd(hi_n, hi_d)
+            b = (lo_n // g, lo_d // g, hi_n // h, hi_d // h)
+            object.__setattr__(self, "_enclosure", b)
+        return Interval(Fraction(b[0], b[1]), Fraction(b[2], b[3]))
 
     def midpoint(self) -> Fraction:
         """Rational midpoint of the enclosure (exact for constants)."""
@@ -452,19 +465,23 @@ class LinExpr:
         difference's enclosure lies inside their interval difference.
         Only overlapping pairs build the difference.
         """
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LinExpr):
             other = LinExpr.constant(self.table, other)
         self._check_table(other)
-        if self._items == other._items:
+        h, k = self._hash, other._hash
+        # two cached hashes that differ already prove the maps differ
+        if (h is None or k is None or h == k) and self._items == other._items:
             return EQUAL
-        a, b = self._enclosure, other._enclosure
-        if a is None:
-            a = self.eval_interval()
-        if b is None:
-            b = other.eval_interval()
-        if a.lo > b.hi:
+        if self._enclosure is None:
+            self.eval_interval()
+        if other._enclosure is None:
+            other.eval_interval()
+        a_ln, a_ld, a_hn, a_hd = self._enclosure
+        b_ln, b_ld, b_hn, b_hd = other._enclosure
+        # denominators are positive, so cross-multiplying keeps the order
+        if a_ln * b_hd > b_hn * a_ld:
             return GREATER
-        if a.hi < b.lo:
+        if a_hn * b_ld < b_ln * a_hd:
             return LESS
         sign = (self - other).eval_interval().sign()
         if sign == 0:

@@ -322,6 +322,24 @@ def test_cli_verify_refutes_rectangle_tiling(fig4_path, capsys):
     assert payload["certificate"]["y"] == "-1"
 
 
+def test_cli_verify_decides_once(fig4_path, capsys, monkeypatch):
+    import sqtile.cli
+    import sqtile.dehn
+
+    calls = []
+    real = sqtile.dehn.decide
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sqtile.cli, "decide", counting)
+    monkeypatch.setattr(sqtile.dehn, "decide", counting)
+    code, out = run(capsys, "verify", fig4_path)
+    assert code == 1 and out.startswith("refuted: the claimed square tiling cannot be genuine")
+    assert len(calls) == 1
+
+
 def test_cli_verify_confirms_square_tiling(tmp_path, capsys):
     doc = document_from_tiling(euclid_tiling(2, 3))
     path = tmp_path / "ok.tiling"

@@ -30,9 +30,10 @@ from sqtile import (
     sqrt2_expr_to_num,
 )
 
+from sqtile.cli import DEFAULT_ENCLOSURES
 from sqtile.exactnum import rational_text
 
-from conftest import tight_table
+from conftest import tight_enclosure, tight_table
 
 getcontext().prec = 60
 SQRT2_DECIMAL = Decimal(2).sqrt()
@@ -144,9 +145,9 @@ def test_ratio_to():
 
 def test_interval_basics():
     i = Interval(Fraction(1), Fraction(2))
-    assert (i + i) == Interval(Fraction(2), Fraction(4))
-    assert i.scale(-2) == Interval(Fraction(-4), Fraction(-2))
-    assert i.sign() == 1 and i.scale(-1).sign() == -1
+    assert Interval(i.lo + i.lo, i.hi + i.hi) == Interval(Fraction(2), Fraction(4))
+    assert Interval(-2 * i.hi, -2 * i.lo) == Interval(Fraction(-4), Fraction(-2))
+    assert i.sign() == 1 and Interval(-i.hi, -i.lo).sign() == -1
     assert Interval(Fraction(-1), Fraction(1)).sign() == 0
     with pytest.raises(ValueError):
         Interval(Fraction(2), Fraction(1))
@@ -269,6 +270,105 @@ def test_cmp_agrees_with_difference_enclosure(a, b):
             assert a.cmp(b) == d.sign()
 
 
+# --- the integer enclosure kernel against termwise Fraction arithmetic -------
+
+
+def _ref_eval_interval(e: LinExpr) -> Interval:
+    """The enclosure as it was computed before the integer kernel: one
+    scaled generator interval per term, summed with Fraction arithmetic."""
+    lo = hi = Fraction(0)
+    for i, c in e.coeffs.items():
+        g = e.table.enclosure(i)
+        lo, hi = (lo + c * g.lo, hi + c * g.hi) if c >= 0 else (lo + c * g.hi, hi + c * g.lo)
+    return Interval(lo, hi)
+
+
+def _ref_cmp(a: LinExpr, b: LinExpr) -> int:
+    """Sign of the difference's reference enclosure, as in
+    ``tests/test_validate_reference.py``."""
+    if a == b:
+        return EQUAL
+    sign = _ref_eval_interval(a - b).sign()
+    if sign == 0:
+        raise AmbiguousComparison(
+            f"cannot order {a} against {b}: enclosures overlap; "
+            "declare tighter generator enclosures"
+        )
+    return sign
+
+
+def _negated(lo, hi):
+    return -hi, -lo
+
+
+KERNEL_TABLES = (
+    # built-in brackets: lo and hi have different denominators
+    GeneratorTable(Generator(s, *DEFAULT_ENCLOSURES[s]) for s in ("sqrt2", "sqrt3", "sqrt5")),
+    # 60-digit brackets, one of them negative
+    GeneratorTable(
+        [
+            Generator("sqrt7", *tight_enclosure(7)),
+            Generator("msqrt11", *_negated(*tight_enclosure(11))),
+            Generator("sqrt2", *DEFAULT_ENCLOSURES["sqrt2"]),
+        ]
+    ),
+    # wide brackets, one negative, so that overlapping pairs are common
+    GeneratorTable(
+        [Generator("g", Fraction(1), Fraction(2)), Generator("m", Fraction(-7, 2), Fraction(-5, 2))]
+    ),
+)
+
+
+def _digits(n: int):
+    return st.integers(10 ** (n - 1), 10**n - 1)
+
+
+kernel_coeffs = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(
+        lambda num, den, neg: Fraction(-num if neg else num, den),
+        st.integers(1, 80).flatmap(_digits),
+        st.integers(1, 20).flatmap(_digits),
+        st.booleans(),
+    ),
+)
+
+
+@st.composite
+def kernel_pairs(draw):
+    table = draw(st.sampled_from(KERNEL_TABLES))
+    exprs = st.dictionaries(st.integers(0, len(table) - 1), kernel_coeffs, max_size=len(table))
+    a = LinExpr(table, draw(exprs))
+    b = draw(st.one_of(exprs.map(lambda c: LinExpr(table, c)), st.just(LinExpr(table, a.coeffs))))
+    return a, b
+
+
+@given(kernel_pairs())
+@example((LinExpr(KERNEL_TABLES[0]), LinExpr(KERNEL_TABLES[0])))  # zero against zero
+@example((LinExpr(KERNEL_TABLES[1], {1: Fraction(-3, 7)}), LinExpr(KERNEL_TABLES[1])))
+@example((LinExpr(KERNEL_TABLES[2], {1: 1}), LinExpr(KERNEL_TABLES[2], {0: -3})))  # ambiguous
+@example((LinExpr(KERNEL_TABLES[2], {0: 2}), LinExpr(KERNEL_TABLES[2], {1: 1})))  # touching
+def test_kernel_matches_termwise_fraction_reference(pair):
+    a, b = pair
+    # the first round evaluates; the second answers from cached bounds and hashes
+    for _ in range(2):
+        for x, y in ((a, b), (b, a)):
+            try:
+                want = _ref_cmp(x, y)
+            except AmbiguousComparison as exc:
+                with pytest.raises(AmbiguousComparison) as info:
+                    x.cmp(y)
+                assert str(info.value) == str(exc)
+            else:
+                assert x.cmp(y) == want
+        hash(a), hash(b)
+    for e in (a, b, a - b):
+        want = _ref_eval_interval(e)
+        got = e.eval_interval()
+        assert got == want and type(got.lo) is type(got.hi) is Fraction
+        assert e._enclosure == (want.lo.numerator, want.lo.denominator, want.hi.numerator, want.hi.denominator)
+
+
 def _random_expr(rng, table):
     return LinExpr(
         table,
@@ -301,9 +401,9 @@ def test_interval_of_sum_contained_in_sum_of_intervals():
     rng = random.Random(11)
     for _ in range(300):
         e1, e2 = _random_expr(rng, table), _random_expr(rng, table)
-        outer = e1.eval_interval() + e2.eval_interval()
+        a, b = e1.eval_interval(), e2.eval_interval()
         inner = (e1 + e2).eval_interval()
-        assert outer.lo <= inner.lo <= inner.hi <= outer.hi
+        assert a.lo + b.lo <= inner.lo <= inner.hi <= a.hi + b.hi
 
 
 def test_copy_and_pickle_round_trip():
