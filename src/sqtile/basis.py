@@ -70,13 +70,6 @@ class Basis:
         c = self.coords(p)
         return c[0], c[1] if self.has_t0 else Fraction(0)
 
-    def combine(self, coords) -> LinExpr:
-        """Rebuild the expression sum(coords[i] * elements[i])."""
-        out = LinExpr.zero(self.elements[0].table)
-        for c, e in zip(coords, self.elements):
-            out = out + e * c
-        return out
-
 
 def _reduce(rows, vector, width):
     """One elimination pass of the dense ``vector`` against ``rows``.

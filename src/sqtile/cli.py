@@ -23,6 +23,7 @@ from . import construct as construct_mod
 from .dehn import _refute, decide
 from .errors import AmbiguousComparison, DocumentError, InvalidTiling, SqtileError
 from .exactnum import (
+    RATIONAL_PATTERN,
     Generator,
     GeneratorTable,
     _tokenize,
@@ -50,6 +51,8 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_AMBIGUOUS = 3
+
+MAX_SQUARES = 100_000  # construct's limit; each square holds about 2 KB
 
 # Convergent brackets, all correct to at least 10 decimal digits.  A
 # document (or CLI expression) may use these symbols without spelling
@@ -250,8 +253,8 @@ def _svg(t: Tiling, precision: int) -> str:
     if not report.is_valid:
         raise InvalidTiling(report)
 
-    w_mid = t.outer_w.midpoint()
-    h_mid = t.outer_h.midpoint()
+    w_mid = t.outer_w.eval_interval().midpoint
+    h_mid = t.outer_h.eval_interval().midpoint
     fmt = lambda v: _fixed(v, precision)
     stroke = max(w_mid, h_mid) / 200
     lines = [
@@ -262,11 +265,11 @@ def _svg(t: Tiling, precision: int) -> str:
         f'fill="none" stroke="#000" stroke-width="{fmt(stroke)}"/>',
     ]
     for p in t.tiles:
-        x = p.x.midpoint()
-        w = p.w.midpoint()
-        h = p.h.midpoint()
+        x = p.x.eval_interval().midpoint
+        w = p.w.eval_interval().midpoint
+        h = p.h.eval_interval().midpoint
         # SVG y grows downward; flip so (0,0) is the lower-left corner
-        y_svg = h_mid - (p.y.midpoint() + h)
+        y_svg = h_mid - (p.y.eval_interval().midpoint + h)
         lines.append(
             f'  <rect x="{fmt(x)}" y="{fmt(y_svg)}" width="{fmt(w)}" height="{fmt(h)}" '
             f'fill="none" stroke="#000" stroke-width="{fmt(stroke)}"/>'
@@ -415,6 +418,8 @@ def _cmd_construct(args):
     ratio = parse_rational(args.ratio)
     if ratio <= 0:
         raise DocumentError(f"--ratio must be positive, got {args.ratio}")
+    if construct_mod.continued_fraction(ratio).quotient_sum > MAX_SQUARES:
+        raise DocumentError(f"--ratio needs more squares than the limit of {MAX_SQUARES}", token=args.ratio)
     t = construct_mod.euclid_tiling(Fraction(1), ratio)
     doc = document_from_tiling(t)
     text = serialize_document(doc)
@@ -470,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, gen=True):
         # let "--y -7/2" parse: negative rationals are values, not flags
-        p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+        p._negative_number_matcher = re.compile(rf"^(?=-){RATIONAL_PATTERN}$")
         if gen:
             p.add_argument("--gen", action="append", default=[], metavar="SYMBOL=[lo,hi]",
                            help="declare or override a generator enclosure "

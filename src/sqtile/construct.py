@@ -37,12 +37,6 @@ class ContinuedFraction:
         if len(q) > 1 and q[-1] < 2:
             raise ValueError(f"non-canonical final quotient in {q}")
 
-    def value(self) -> Fraction:
-        out = Fraction(self.quotients[-1])
-        for a in reversed(self.quotients[:-1]):
-            out = a + 1 / out
-        return out
-
     @property
     def quotient_sum(self) -> int:
         return sum(self.quotients)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .basis import extract_basis
 from .exactnum import LinExpr, rational_text
-from .hamel import y_area
+from .hamel import _y_area_sums, y_area
 from .tiling import Tiling, is_square, validate
 
 __all__ = [
@@ -141,7 +141,12 @@ def refute_square_tiling(t: Tiling, *, y=DEFAULT_CERTIFICATE_Y) -> Refutation:
 
 
 def _refute(t: Tiling, verdict: Verdict) -> Refutation:
-    """``refute_square_tiling`` past its ``decide``, at the verdict's y."""
+    """``refute_square_tiling`` past its ``decide``, at the verdict's y.
+
+    Only a broken validator reaches ADDITIVITY_VIOLATED: over independent
+    generators no valid tiling of an incommensurable rectangle is all
+    squares.  It stays as the paper's third witness kind and a cross-check
+    on ``validate``."""
     if verdict.tilable:
         raise ValueError(
             f"outer sides are commensurable (ratio {rational_text(verdict.ratio)}); "
@@ -160,9 +165,7 @@ def _refute(t: Tiling, verdict: Verdict) -> Refutation:
                 {"tile": i, "w": str(p.w), "h": str(p.h)},
             )
 
-    basis = extract_basis(t.side_lengths())
-    outer = y_area(t.outer_w, t.outer_h, basis, y)
-    total = sum((y_area(p.w, p.h, basis, y) for p in t.tiles), Fraction(0))
+    outer, total = _y_area_sums(t, extract_basis(t.side_lengths()), y)
     if outer != total:
         return Refutation(
             RefutationKind.ADDITIVITY_VIOLATED,

@@ -25,8 +25,10 @@ from .errors import AmbiguousComparison, DocumentError, TableMismatch
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+RATIONAL_PATTERN = r"-?[0-9]+(?:/[0-9]+)?"  # not \d, which matches every script's digits
+_RATIONAL_RE = re.compile(RATIONAL_PATTERN + r"\Z")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+_ROOT_RE = re.compile(r"sqrt0*([1-9][0-9]*)\Z")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -71,7 +73,8 @@ class Sqrt2Num:
 
     The representation is unique (sqrt2 is irrational), so equality and
     hashing are componentwise.  ``sign`` decides the sign of the real
-    value exactly, without any enclosures.
+    value exactly, without any enclosures.  Arithmetic takes the Sqrt2Num
+    as left operand.
     """
 
     __slots__ = ("a", "b")
@@ -92,10 +95,6 @@ class Sqrt2Num:
         """The conjugate a - b*sqrt(2)."""
         return Sqrt2Num(self.a, -self.b)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def _coerce(self, other):
         if isinstance(other, Sqrt2Num):
             return other
@@ -109,8 +108,6 @@ class Sqrt2Num:
             return NotImplemented
         return Sqrt2Num(self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -123,19 +120,6 @@ class Sqrt2Num:
             return NotImplemented
         # (a+b*r)(c+d*r) = (ac+2bd) + (ad+bc)*r  with r*r = 2
         return Sqrt2Num(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        norm = o.a * o.a - 2 * o.b * o.b
-        if norm == 0:
-            # a^2 = 2 b^2 over Q forces a = b = 0
-            raise ZeroDivisionError("division by zero element of Q(sqrt2)")
-        inv = Sqrt2Num(o.a / norm, -o.b / norm)
-        return self * inv
 
     def __neg__(self):
         return Sqrt2Num(-self.a, -self.b)
@@ -160,14 +144,6 @@ class Sqrt2Num:
             return 1 if a * a > 2 * b * b else -1
         # a < 0, b > 0: positive iff b*sqrt2 > -a iff 2 b^2 > a^2
         return 1 if 2 * b * b > a * a else -1
-
-    def ratio_to(self, other: "Sqrt2Num") -> Fraction | None:
-        """The rational k with self = k*other, or None if no such k exists."""
-        o = self._coerce(other)
-        if o is None or (o.a == 0 and o.b == 0):
-            raise ZeroDivisionError("ratio to zero element")
-        q = self / o
-        return q.a if q.is_rational else None
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -204,11 +180,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    @classmethod
-    def point(cls, value) -> "Interval":
-        v = _as_fraction(value)
-        return cls(v, v)
-
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -230,8 +201,9 @@ class Generator:
     """A declared real generator with a certified enclosure lo <= value <= hi.
 
     Enclosures straddling zero are rejected: sign reasoning would be
-    unsound.  Q-linear independence of the declared generators (and the
-    unit) is a trusted assumption, never verified.
+    unsound.  A ``sqrtN`` enclosure must contain the root: lo|lo| <= N <=
+    hi|hi|, as t|t| increases.  Q-linear independence of the generators
+    (and the unit) is a trusted assumption, never verified.
     """
 
     symbol: str
@@ -251,10 +223,13 @@ class Generator:
             raise DocumentError(
                 f"generator {self.symbol}: enclosure [{self.lo}, {self.hi}] contains zero"
             )
-
-    @property
-    def enclosure(self) -> Interval:
-        return Interval(self.lo, self.hi)
+        root = _ROOT_RE.match(self.symbol)
+        # Decimal reads N at any length; int(str) stops at 4,300 digits
+        if root and not self.lo * abs(self.lo) <= int(Decimal(root[1])) <= self.hi * abs(self.hi):
+            raise DocumentError(
+                f"generator {self.symbol}: enclosure [{rational_text(self.lo)}, "
+                f"{rational_text(self.hi)}] does not contain the square root of {root[1]}"
+            )
 
 
 class GeneratorTable:
@@ -300,14 +275,6 @@ class GeneratorTable:
         except KeyError:
             raise DocumentError(f"undeclared symbol {symbol!r}", token=symbol) from None
 
-    def symbol(self, index: int) -> str:
-        return self.symbols[index]
-
-    def enclosure(self, index: int) -> Interval:
-        if index == 0:
-            return Interval.point(1)
-        return self._generators[index - 1].enclosure
-
     def __eq__(self, other):
         if not isinstance(other, GeneratorTable):
             return NotImplemented
@@ -325,9 +292,10 @@ class LinExpr:
 
     Stored sparsely as (generator index, nonzero coefficient) pairs;
     equality and hashing are coefficient-map (plus table) equality.
-    Arithmetic is exact and only mixes expressions over the same table.
-    The hash and the enclosure are computed on first use and kept in
-    write-once slots; the value itself never changes.
+    Arithmetic is exact, with the expression as left operand (``e * 2``,
+    ``e - 1``), and only mixes expressions over the same table.  The hash
+    and the enclosure are computed on first use and kept in write-once
+    slots; the value itself never changes.
     """
 
     __slots__ = ("table", "_items", "_hash", "_enclosure")
@@ -397,8 +365,6 @@ class LinExpr:
             out[i] = out.get(i, Fraction(0)) + c
         return LinExpr(self.table, out)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LinExpr.constant(self.table, other)
@@ -413,8 +379,6 @@ class LinExpr:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return LinExpr(self.table, {i: c * scalar for i, c in self._items})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, LinExpr):
@@ -450,10 +414,6 @@ class LinExpr:
             object.__setattr__(self, "_enclosure", b)
         return Interval(Fraction(b[0], b[1]), Fraction(b[2], b[3]))
 
-    def midpoint(self) -> Fraction:
-        """Rational midpoint of the enclosure (exact for constants)."""
-        return self.eval_interval().midpoint
-
     def cmp(self, other: "LinExpr") -> int:
         """Exact three-way comparison: LESS, EQUAL or GREATER.
 
@@ -465,8 +425,6 @@ class LinExpr:
         difference's enclosure lies inside their interval difference.
         Only overlapping pairs build the difference.
         """
-        if not isinstance(other, LinExpr):
-            other = LinExpr.constant(self.table, other)
         self._check_table(other)
         h, k = self._hash, other._hash
         # two cached hashes that differ already prove the maps differ
@@ -523,7 +481,7 @@ def sqrt2_expr_to_num(e: LinExpr) -> Sqrt2Num:
 # Whitespace is insignificant.  Example: "2 + 1*sqrt2 - 1*sqrt3".
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<rational>-?\d+(?:/\d+)?)|(?P<symbol>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*])"
+    rf"(?P<ws>\s+)|(?P<rational>{RATIONAL_PATTERN})|(?P<symbol>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*])"
 )
 
 
@@ -606,7 +564,7 @@ def format_expr(e: LinExpr) -> str:
     for idx, c in e._items:
         body = rational_text(abs(c))
         if idx != 0:
-            body = f"{body}*{e.table.symbol(idx)}"
+            body = f"{body}*{e.table.symbols[idx]}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

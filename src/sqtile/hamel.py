@@ -81,12 +81,14 @@ def additivity_check(t: Tiling, basis: Basis, ys) -> bool:
     report = validate(t)
     if not report.is_valid:
         raise InvalidTiling(report)
-    for y in ys:
-        outer = y_area(t.outer_w, t.outer_h, basis, y)
-        total = sum((y_area(p.w, p.h, basis, y) for p in t.tiles), Fraction(0))
-        if outer != total:
-            return False
-    return True
+    return all(outer == total for outer, total in (_y_area_sums(t, basis, y) for y in ys))
+
+
+def _y_area_sums(t: Tiling, basis: Basis, y) -> tuple:
+    """The outer rectangle's y-area and the exact sum of the tiles' at y."""
+    outer = y_area(t.outer_w, t.outer_h, basis, y)
+    total = sum((y_area(p.w, p.h, basis, y) for p in t.tiles), Fraction(0))
+    return outer, total
 
 
 class Contradiction(Enum):

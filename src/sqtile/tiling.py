@@ -128,8 +128,9 @@ def _side_failures(t: Tiling, zero, outer_w, outer_h, edges):
             failures.append(Failure("nonpositive_side", witness={"side": name, "value": e}))
     for i, (p, (x, right, y, top)) in enumerate(zip(t.tiles, edges)):
         before = len(failures)
-        for name, e in (("w", p.w), ("h", p.h)):
-            if e.cmp(zero) <= 0:
+        # w > 0 as right > x: same difference, and the sort needs these enclosures
+        for name, e, hi, lo in (("w", p.w, right, x), ("h", p.h, top, y)):
+            if hi.cmp(lo) <= 0:
                 failures.append(
                     Failure("nonpositive_side", tiles=(i,), witness={"side": name, "value": e})
                 )

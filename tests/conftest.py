@@ -54,6 +54,11 @@ def tight_table(*roots: int) -> GeneratorTable:
     )
 
 
+def combine(basis, coords) -> LinExpr:
+    """The expression sum(coords[i] * basis.elements[i])."""
+    return sum((e * c for c, e in zip(coords, basis.elements)), LinExpr.zero(basis.elements[0].table))
+
+
 def rand_fraction(rng, max_num=50, max_den=50, signed=False) -> Fraction:
     num = rng.randint(1, max_num)
     if signed and rng.random() < 0.5:

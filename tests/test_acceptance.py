@@ -170,7 +170,8 @@ def test_criterion_6_task4_equivalence():
             h = w * Fraction(rng.randint(1, 12), rng.randint(1, 12))
         else:
             h = rand_positive()
-        rational_ratio = h.ratio_to(w) is not None
+        # h/w is rational iff this 2x2 determinant is zero
+        rational_ratio = h.a * w.b == h.b * w.a
         assert x_area_nonneg_for_all_x(w, h) == rational_ratio
 
 

@@ -313,6 +313,50 @@ def test_cli_construct_bad_ratio(capsys):
     assert run(capsys, "construct", "--ratio", "x")[0] == 2
 
 
+def test_cli_construct_square_limit(capsys, monkeypatch):
+    # 100001 = [100001] needs 100,001 squares, one past the limit
+    code, out = run(capsys, "construct", "--ratio", "100001", "--format", "json")
+    assert code == 2
+    assert json.loads(out) == {
+        "command": "construct",
+        "exit_code": 2,
+        "error": "input",
+        "detail": "--ratio needs more squares than the limit of 100000 (near '100001')",
+    }
+    # the limit itself is allowed: 13/8 = [1; 1, 1, 1, 2] needs 6 squares
+    monkeypatch.setattr(sqtile.cli, "MAX_SQUARES", 6)
+    assert run(capsys, "construct", "--ratio", "13/8")[0] == 0
+    assert run(capsys, "construct", "--ratio", "21/13")[0] == 2
+
+
+def test_cli_rationals_take_ascii_digits_only(capsys):
+    # Arabic-Indic one and two: int() reads them, the grammar does not
+    code, out = run(capsys, "decide", "--width", "\u0661", "--height", "\u0662", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "input"
+    rect = ("decide", "--width", "1", "--height", "1*sqrt2")
+    code, out = run(capsys, *rect, "--y=-\u0661", "--format", "json")
+    assert (code, json.loads(out)["detail"]) == (2, "malformed rational (near '-\u0661')")
+    # without '=' the value does not look like a negative number, so argparse refuses it
+    assert run(capsys, *rect, "--y", "-\u0661")[0] == 2
+    assert run(capsys, *rect, "--y", "-7/2")[0] == 1
+    assert run(capsys, "construct", "--ratio", "\u0663/\u0662")[0] == 2
+
+
+def test_cli_root_brackets_must_contain_the_root(tmp_path, capsys):
+    code, out = run(
+        capsys, "decide", "--width", "1", "--height", "1*sqrt2", "--gen", "sqrt2=[3,4]", "--format", "json"
+    )
+    assert code == 2
+    detail = "generator sqrt2: enclosure [3, 4] does not contain the square root of 2"
+    assert json.loads(out)["detail"] == detail
+    path = _write(
+        tmp_path, "bad.tiling", [("sqrt3", "1", "3/2")], ("1", "1*sqrt3"), [("0", "0", "1", "1*sqrt3")]
+    )
+    assert run(capsys, "validate", path)[0] == 2
+    assert run(capsys, "decide", "--width", "1", "--height", "1*sqrt2", "--gen", "sqrt2=[1,2]")[0] == 1
+
+
 def test_cli_verify_refutes_rectangle_tiling(fig4_path, capsys):
     code, out = run(capsys, "verify", fig4_path, "--format", "json")
     assert code == 1
@@ -641,7 +685,7 @@ def test_cli_render_precision_past_int_digit_limit(fig4_path, capsys):
     assert code == 0
     view_box = re.search(r'viewBox="0 0 (\S+) (\S+)"', json.loads(out)["svg"])
     assert view_box[1] == "1." + "0" * 5000
-    h = build_tiling(parse_document(Path(fig4_path).read_bytes()))[1].outer_h.midpoint()
+    h = build_tiling(parse_document(Path(fig4_path).read_bytes()))[1].outer_h.eval_interval().midpoint
     with localcontext() as ctx:
         ctx.prec = 5100
         want = (Decimal(h.numerator) / Decimal(h.denominator)).quantize(

@@ -63,7 +63,10 @@ def test_continued_fraction_canonical_form_enforced():
 @given(st.fractions(min_value="1/50", max_value=50, max_denominator=50))
 def test_continued_fraction_round_trip(r):
     cf = continued_fraction(r)
-    assert cf.value() == r
+    folded = Fraction(cf.quotients[-1])
+    for a in reversed(cf.quotients[:-1]):
+        folded = a + 1 / folded
+    assert folded == r
     assert all(a >= 1 for a in cf.quotients[1:])
     if len(cf.quotients) > 1:
         assert cf.quotients[-1] >= 2

@@ -25,7 +25,7 @@ from sqtile import (
 )
 from sqtile.dehn import Certificate
 
-from conftest import guillotine_tiling, rand_fraction, tight_table
+from conftest import combine, guillotine_tiling, rand_fraction, tight_table
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ def test_certificate_soundness_square_sums_nonnegative(table):
     rng = random.Random(37)
     for _ in range(100):
         sides = [
-            basis.combine([rand_fraction(rng, 8, 4, signed=True) for _ in basis.elements])
+            combine(basis, [rand_fraction(rng, 8, 4, signed=True) for _ in basis.elements])
             for _ in range(rng.randint(1, 6))
         ]
         total = sum(y_area(s, s, basis, Fraction(-1)) for s in sides)

@@ -33,7 +33,7 @@ from sqtile import (
 from sqtile.cli import DEFAULT_ENCLOSURES
 from sqtile.exactnum import rational_text
 
-from conftest import tight_enclosure, tight_table
+from conftest import tight_enclosure, tight_table, workloads
 
 getcontext().prec = 60
 SQRT2_DECIMAL = Decimal(2).sqrt()
@@ -97,10 +97,6 @@ def test_sqrt2_arith_examples():
     s = Sqrt2Num(2, 1)
     assert s * Sqrt2Num(1) == s
     assert s + Sqrt2Num(0) == s
-    assert (one_plus / one_plus) == Sqrt2Num(1)
-    assert Sqrt2Num(1) / Sqrt2Num(1, -1) == Sqrt2Num(-1, -1)  # 1/(1-r2) = -(1+r2)
-    with pytest.raises(ZeroDivisionError):
-        s / Sqrt2Num(0, 0)
 
 
 @given(sqrt2nums, sqrt2nums)
@@ -134,12 +130,6 @@ def test_ordering_consistent_with_sign(s, t):
     assert (s == t) == ((s - t).sign() == 0)
 
 
-def test_ratio_to():
-    assert Sqrt2Num(3, 3).ratio_to(Sqrt2Num(1, 1)) == 3
-    assert Sqrt2Num(1).ratio_to(Sqrt2Num(0, 1)) is None
-    assert Sqrt2Num(0, 3).ratio_to(Sqrt2Num(0, 2)) == Fraction(3, 2)
-
-
 # --- intervals ---------------------------------------------------------------
 
 
@@ -168,10 +158,36 @@ def test_generator_validation():
         Generator("2bad", Fraction(1), Fraction(2))
 
 
+def test_root_generator_brackets_its_root():
+    # checked exactly: lo^2 <= N <= hi^2, endpoints included
+    Generator("sqrt4", Fraction(2), Fraction(3))
+    Generator("sqrt4", Fraction(1), Fraction(2))
+    Generator("sqrt2", Fraction(0), Fraction(3, 2))
+    for n in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        Generator(f"sqrt{n}", *tight_enclosure(n))
+        Generator(f"sqrt{n}", *workloads.enclosure(n))  # the benchmark's brackets
+    for sym, lo, hi in (
+        ("sqrt2", Fraction(3), Fraction(4)),
+        ("sqrt2", Fraction(1), Fraction(7, 5)),  # 7/5 < sqrt2
+        ("sqrt2", Fraction(3, 2), Fraction(2)),
+        ("sqrt4", Fraction(201, 100), Fraction(3)),
+        ("sqrt10", Fraction(-4), Fraction(-3)),
+    ):
+        with pytest.raises(DocumentError, match="does not contain the square root"):
+            Generator(sym, lo, hi)
+    with pytest.raises(DocumentError, match="square root of 2"):
+        Generator("sqrt02", Fraction(3), Fraction(4))
+    with pytest.raises(DocumentError, match="does not contain"):  # N past the int digit limit
+        Generator("sqrt" + "7" * 5000, Fraction(1), Fraction(2))
+    # other symbols, "sqrt0" included, name no positive root and are not checked
+    for sym in ("g", "msqrt2", "sqrt2x", "sqrt0", "Sqrt2"):
+        Generator(sym, Fraction(3), Fraction(4))
+
+
 def test_table_uniqueness_and_lookup(table):
     assert table.symbols == ("1", "sqrt2", "sqrt3")
     assert table.index("sqrt3") == 2
-    assert table.enclosure(0).lo == 1 == table.enclosure(0).hi
+    assert parse_expr("1", table).eval_interval() == Interval(Fraction(1), Fraction(1))
     with pytest.raises(DocumentError):
         table.index("sqrt5")
     g = Generator("g", Fraction(1), Fraction(2))
@@ -205,8 +221,8 @@ def test_eval_interval_examples():
     table = GeneratorTable([Generator("sqrt2", lo, hi)])
     e = parse_expr("2 + 1*sqrt2", table)
     assert e.eval_interval() == Interval(2 + lo, 2 + hi)
-    assert LinExpr.constant(table, 5).eval_interval() == Interval.point(5)
-    assert LinExpr.zero(table).eval_interval() == Interval.point(0)
+    assert LinExpr.constant(table, 5).eval_interval() == Interval(Fraction(5), Fraction(5))
+    assert LinExpr.zero(table).eval_interval() == Interval(Fraction(0), Fraction(0))
 
 
 def test_lin_cmp_examples():
@@ -273,12 +289,18 @@ def test_cmp_agrees_with_difference_enclosure(a, b):
 # --- the integer enclosure kernel against termwise Fraction arithmetic -------
 
 
+def _enclosures(table: GeneratorTable) -> list:
+    """Each table generator's declared bracket, the unit's [1, 1] first."""
+    return [Interval(Fraction(1), Fraction(1))] + [Interval(g.lo, g.hi) for g in table.generators]
+
+
 def _ref_eval_interval(e: LinExpr) -> Interval:
     """The enclosure as it was computed before the integer kernel: one
     scaled generator interval per term, summed with Fraction arithmetic."""
     lo = hi = Fraction(0)
+    brackets = _enclosures(e.table)
     for i, c in e.coeffs.items():
-        g = e.table.enclosure(i)
+        g = brackets[i]
         lo, hi = (lo + c * g.lo, hi + c * g.hi) if c >= 0 else (lo + c * g.hi, hi + c * g.lo)
     return Interval(lo, hi)
 
@@ -382,7 +404,7 @@ def _random_expr(rng, table):
 
 def test_lin_cmp_never_contradicts_midpoint_evaluation():
     table = tight_table(2, 3, 5)
-    mids = [table.enclosure(i).midpoint for i in range(len(table))]
+    mids = [g.midpoint for g in _enclosures(table)]
     rng = random.Random(7)
     for _ in range(300):
         e1, e2 = _random_expr(rng, table), _random_expr(rng, table)

@@ -29,7 +29,7 @@ from sqtile import (
     y_area,
 )
 
-from conftest import guillotine_tiling, tight_table
+from conftest import combine, guillotine_tiling, tight_table
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=60)
 sqrt2nums = st.builds(Sqrt2Num, rationals, rationals)
@@ -88,12 +88,13 @@ def test_square_x_area_nonneg_at_rational_x():
         x = Fraction(rng.randint(-40, 40), rng.randint(1, 20))
         s = Sqrt2Num(a, b)
         area = x_area(s, s, x)
-        assert area.is_rational and area.a >= 0
+        assert area.b == 0 and area.a >= 0
         assert area.a == (a + b * x) ** 2
 
 
 def _rational_ratio(w: Sqrt2Num, h: Sqrt2Num) -> bool:
-    return h.ratio_to(w) is not None
+    # h/w is rational iff (h.a, h.b) and (w.a, w.b) are parallel
+    return h.a * w.b == h.b * w.a
 
 
 def test_task4_equivalence_random_pairs():
@@ -143,7 +144,7 @@ def test_square_y_area_is_square_of_rational(fig4):
     rng = random.Random(19)
     for _ in range(200):
         coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in basis.elements]
-        side = basis.combine(coords)
+        side = combine(basis, coords)
         y = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
         a, b = basis.coords_st(side)
         assert y_area(side, side, basis, y) == (a + b * y) ** 2 >= 0

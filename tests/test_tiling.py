@@ -12,6 +12,7 @@ from sqtile import (
     AmbiguousComparison,
     Generator,
     GeneratorTable,
+    LinExpr,
     Placement,
     Tiling,
     build_tiling,
@@ -92,6 +93,48 @@ def test_validate_ambiguous_raises():
     )
     with pytest.raises(AmbiguousComparison, match=r"cannot order 2 against 3 - 1\*g"):
         validate(t)
+
+
+def test_validate_side_ambiguity_names_the_edges():
+    # tile 1's width 2 - g is not certified positive: the pair named is
+    # its right and left edge, whose difference is that width
+    table = GeneratorTable([Generator("g", Fraction(1, 2), Fraction(5, 2))])
+    e = lambda s: parse_expr(s, table)
+    t = Tiling(
+        e("2"),
+        e("1"),
+        (
+            Placement(e("0"), e("0"), e("1"), e("1")),
+            Placement(e("1"), e("0"), e("2 - 1*g"), e("1")),
+        ),
+        table,
+    )
+    with pytest.raises(AmbiguousComparison, match=r"cannot order 3 - 1\*g against 1: "):
+        validate(t)
+
+
+def test_validate_evaluates_enclosures_of_cut_values_only(monkeypatch):
+    """Tile sides are certified positive through their edges, so on a
+    valid spiral every enclosure ``validate`` evaluates is that of an x or
+    y cut value, never of a width or height that is no cut."""
+    doc = workloads.log_cabin(random.Random(200), 200)
+    _, t = build_tiling(parse_document(doc.data))
+    zero = LinExpr.zero(t.table)
+    cuts = {zero, t.outer_w, t.outer_h}
+    for p in t.tiles:
+        cuts.update((p.x, p.right, p.y, p.top))
+    evaluated = []
+    original = LinExpr.eval_interval
+
+    def recording(self):
+        evaluated.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LinExpr, "eval_interval", recording)
+    assert validate(t).is_valid
+    assert evaluated and all(e in cuts for e in evaluated)
+    sides = {p.w for p in t.tiles} | {p.h for p in t.tiles}
+    assert sides - cuts  # the spiral has sides that are no cut value
 
 
 def test_is_square(table):
