@@ -55,13 +55,12 @@ from .dehn import (
     refute_square_tiling,
     verify_certificate,
 )
-from .construct import ContinuedFraction, continued_fraction, euclid_tiling
+from .construct import continued_fraction, euclid_tiling
 # The CLI names load on first use (PEP 562), so importing the library
 # does not import argparse and json, and ``python -m sqtile.cli`` runs
 # cli.py only once.
 _CLI_NAMES = frozenset({
     "DEFAULT_ENCLOSURES",
-    "TilingDocument",
     "build_tiling",
     "document_from_tiling",
     "parse_document",

@@ -14,16 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import construct as construct_mod
 from .dehn import _refute, decide
 from .errors import AmbiguousComparison, DocumentError, InvalidTiling, SqtileError
 from .exactnum import (
-    RATIONAL_PATTERN,
     Generator,
     GeneratorTable,
     _tokenize,
@@ -38,7 +35,6 @@ from .tiling import Placement, Tiling, is_square, validate
 
 __all__ = [
     "DEFAULT_ENCLOSURES",
-    "TilingDocument",
     "parse_document",
     "serialize_document",
     "document_from_tiling",
@@ -64,39 +60,16 @@ DEFAULT_ENCLOSURES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorDecl:
-    symbol: str
-    lo: str
-    hi: str
-
-
-@dataclass(frozen=True, slots=True)
-class TileDecl:
-    x: str
-    y: str
-    w: str
-    h: str
-
-
-@dataclass(frozen=True, slots=True)
-class TilingDocument:
-    """The parsed .tiling file: generator declarations plus expression
-    strings for the outer rectangle and every tile."""
-
-    generators: tuple
-    outer_w: str
-    outer_h: str
-    tiles: tuple
-
-
 def _expect(cond, message, **loc):
     if not cond:
         raise DocumentError(message, **loc)
 
 
-def parse_document(text) -> TilingDocument:
-    """Parse document text (bytes or str) into a TilingDocument.
+def parse_document(text) -> dict:
+    """Parse document text (bytes or str) into its canonical JSON object:
+    ``{"generators": [{"symbol", "lo", "hi"}], "outer": {"w", "h"},
+    "tiles": [{"x", "y", "w", "h"}]}`` in that key order, with built-in
+    brackets filled in.
 
     Checks the JSON schema and the generator declarations; expression
     strings are validated later, against the built table, by
@@ -122,8 +95,10 @@ def parse_document(text) -> TilingDocument:
     unknown = set(raw) - {"generators", "outer", "tiles"}
     _expect(not unknown, f"unknown document keys {sorted(unknown)}")
 
+    gens_raw = raw.get("generators", [])
+    _expect(isinstance(gens_raw, list), "'generators' must be a list")
     gens = []
-    for i, g in enumerate(raw.get("generators", [])):
+    for i, g in enumerate(gens_raw):
         _expect(isinstance(g, dict), f"generators[{i}] must be an object")
         _expect("symbol" in g, f"generators[{i}] is missing 'symbol'")
         symbol = g["symbol"]
@@ -135,12 +110,10 @@ def parse_document(text) -> TilingDocument:
             dlo, dhi = DEFAULT_ENCLOSURES[symbol]
             lo, hi = str(dlo), str(dhi)
         else:
-            raise DocumentError(
-                f"generator {symbol!r} has no enclosure and no default is known"
-            )
+            raise DocumentError(f"generator {symbol!r} has no enclosure and no default is known")
         _expect(isinstance(lo, str) and isinstance(hi, str),
                 f"generator {symbol!r} enclosure bounds must be rational strings")
-        gens.append(GeneratorDecl(symbol, lo, hi))
+        gens.append({"symbol": symbol, "lo": lo, "hi": hi})
 
     _expect("outer" in raw, "document is missing 'outer'")
     outer = raw["outer"]
@@ -158,26 +131,20 @@ def parse_document(text) -> TilingDocument:
                 f"tiles[{i}] must be an object with exactly the keys x, y, w, h")
         for k in ("x", "y", "w", "h"):
             _expect(isinstance(t[k], str), f"tiles[{i}].{k} must be an expression string")
-        tiles.append(TileDecl(t["x"], t["y"], t["w"], t["h"]))
+        tiles.append({"x": t["x"], "y": t["y"], "w": t["w"], "h": t["h"]})
 
-    return TilingDocument(tuple(gens), outer["w"], outer["h"], tuple(tiles))
+    return {"generators": gens, "outer": {"w": outer["w"], "h": outer["h"]}, "tiles": tiles}
 
 
-def serialize_document(doc: TilingDocument) -> str:
+def serialize_document(doc: dict) -> str:
     """Canonical JSON text; :func:`parse_document` inverts it exactly."""
-    raw = {
-        "generators": [
-            {"symbol": g.symbol, "lo": g.lo, "hi": g.hi} for g in doc.generators
-        ],
-        "outer": {"w": doc.outer_w, "h": doc.outer_h},
-        "tiles": [{"x": t.x, "y": t.y, "w": t.w, "h": t.h} for t in doc.tiles],
-    }
-    return json.dumps(raw, indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _build_table(doc: TilingDocument, overrides=()) -> GeneratorTable:
-    decls = {g.symbol: (parse_rational(g.lo), parse_rational(g.hi)) for g in doc.generators}
-    order = [g.symbol for g in doc.generators]
+def _build_table(doc: dict, overrides=()) -> GeneratorTable:
+    gens = doc["generators"]
+    decls = {g["symbol"]: (parse_rational(g["lo"]), parse_rational(g["hi"])) for g in gens}
+    order = [g["symbol"] for g in gens]
     for g in overrides:
         if g.symbol not in decls:
             order.append(g.symbol)
@@ -185,7 +152,7 @@ def _build_table(doc: TilingDocument, overrides=()) -> GeneratorTable:
     return GeneratorTable(Generator(sym, *decls[sym]) for sym in order)
 
 
-def build_tiling(doc: TilingDocument, overrides=()):
+def build_tiling(doc: dict, overrides=()):
     """Compile a document into (GeneratorTable, Tiling).
 
     ``overrides`` are Generator objects that replace or extend the
@@ -202,23 +169,24 @@ def build_tiling(doc: TilingDocument, overrides=()):
             e = compiled[text] = parse_expr(text, table)
         return e
 
-    outer_w = expr(doc.outer_w)
-    outer_h = expr(doc.outer_h)
-    tiles = tuple(Placement(expr(t.x), expr(t.y), expr(t.w), expr(t.h)) for t in doc.tiles)
+    outer_w = expr(doc["outer"]["w"])
+    outer_h = expr(doc["outer"]["h"])
+    tiles = tuple(
+        Placement(expr(t["x"]), expr(t["y"]), expr(t["w"]), expr(t["h"])) for t in doc["tiles"]
+    )
     return table, Tiling(outer_w, outer_h, tiles, table)
 
 
-def document_from_tiling(t: Tiling) -> TilingDocument:
+def document_from_tiling(t: Tiling) -> dict:
     """The canonical document for an in-memory tiling."""
-    gens = tuple(
-        GeneratorDecl(g.symbol, rational_text(g.lo), rational_text(g.hi))
-        for g in t.table.generators
-    )
-    tiles = tuple(
-        TileDecl(format_expr(p.x), format_expr(p.y), format_expr(p.w), format_expr(p.h))
-        for p in t.tiles
-    )
-    return TilingDocument(gens, format_expr(t.outer_w), format_expr(t.outer_h), tiles)
+    return {
+        "generators": [
+            {"symbol": g.symbol, "lo": rational_text(g.lo), "hi": rational_text(g.hi)}
+            for g in t.table.generators
+        ],
+        "outer": {"w": format_expr(t.outer_w), "h": format_expr(t.outer_h)},
+        "tiles": [{k: format_expr(getattr(p, k)) for k in ("x", "y", "w", "h")} for p in t.tiles],
+    }
 
 
 # --- SVG rendering ----------------------------------------------------------
@@ -235,7 +203,7 @@ def _fixed(value: Fraction, digits: int) -> str:
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
 
-def render_svg(doc: TilingDocument, precision: int = 6) -> str:
+def render_svg(doc: dict, precision: int = 6) -> str:
     """Render a validated document as SVG text.
 
     One rectangle element per tile in tile order, plus the outer frame;
@@ -321,7 +289,7 @@ def _table_for_exprs(texts, gen_flags) -> GeneratorTable:
     return GeneratorTable(gens)
 
 
-def _read_document(path: str) -> TilingDocument:
+def _read_document(path: str) -> dict:
     if path == "-":
         return parse_document(sys.stdin.buffer.read())
     try:
@@ -418,12 +386,12 @@ def _cmd_construct(args):
     ratio = parse_rational(args.ratio)
     if ratio <= 0:
         raise DocumentError(f"--ratio must be positive, got {args.ratio}")
-    if construct_mod.continued_fraction(ratio).quotient_sum > MAX_SQUARES:
+    if sum(construct_mod.continued_fraction(ratio)) > MAX_SQUARES:
         raise DocumentError(f"--ratio needs more squares than the limit of {MAX_SQUARES}", token=args.ratio)
     t = construct_mod.euclid_tiling(Fraction(1), ratio)
     doc = document_from_tiling(t)
     text = serialize_document(doc)
-    payload = {"squares": len(t.tiles), "document": json.loads(text)}
+    payload = {"squares": len(t.tiles), "document": doc}
     if args.out:
         _emit(args.out, text)
         lines = [f"wrote {len(t.tiles)}-square tiling to {args.out}"]
@@ -465,8 +433,18 @@ def _cmd_render(args):
     return EXIT_OK, payload, lines
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # "-7/2" and "-x" are values, so a malformed one reaches its handler and
+        # gets an input report; only an exact option string such as -h is a flag
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sqtile",
         description="Decide, certify, validate, construct and render square tilings "
         "of rectangles, in exact arithmetic.",
@@ -474,8 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, gen=True):
-        # let "--y -7/2" parse: negative rationals are values, not flags
-        p._negative_number_matcher = re.compile(rf"^(?=-){RATIONAL_PATTERN}$")
         if gen:
             p.add_argument("--gen", action="append", default=[], metavar="SYMBOL=[lo,hi]",
                            help="declare or override a generator enclosure "

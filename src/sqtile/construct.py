@@ -8,42 +8,21 @@ squares is the sum of the continued-fraction quotients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import GeneratorTable, LinExpr
 from .tiling import Placement, Tiling
 
-__all__ = ["ContinuedFraction", "continued_fraction", "euclid_tiling"]
+__all__ = ["continued_fraction", "euclid_tiling"]
 
 
-@dataclass(frozen=True, slots=True)
-class ContinuedFraction:
-    """Canonical continued fraction [a0; a1, ..., an] of a positive rational.
+def continued_fraction(r) -> tuple:
+    """The quotients (a0, a1, ..., an) of the canonical continued fraction
+    [a0; a1, ..., an] of a positive rational.
 
-    The partial quotients a1.. are positive and the last is >= 2 unless
-    it is the only quotient; a0 is 0 exactly when the value is below 1.
-    Folding the quotients back reproduces the value exactly.
+    a0 is 0 exactly when the value is below 1; a1.. are positive, and the
+    last is >= 2 unless it is the only quotient.
     """
-
-    quotients: tuple
-
-    def __post_init__(self):
-        q = self.quotients
-        if not q:
-            raise ValueError("a continued fraction needs at least one quotient")
-        if any(a < 1 for a in q[1:]) or q[0] < 0:
-            raise ValueError(f"non-canonical quotients {q}")
-        if len(q) > 1 and q[-1] < 2:
-            raise ValueError(f"non-canonical final quotient in {q}")
-
-    @property
-    def quotient_sum(self) -> int:
-        return sum(self.quotients)
-
-
-def continued_fraction(r) -> ContinuedFraction:
-    """Canonical continued fraction of a positive rational."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError(f"continued fraction requires a positive rational, got {r}")
@@ -54,7 +33,7 @@ def continued_fraction(r) -> ContinuedFraction:
         quotients.append(a)
         num, den = den, num
     # Euclid on positive input ends with a final quotient >= 2 (or a lone a0)
-    return ContinuedFraction(tuple(quotients))
+    return tuple(quotients)
 
 
 def euclid_tiling(w, h) -> Tiling:

@@ -106,7 +106,7 @@ def test_criterion_3_euclid_tilings():
         assert validate(t).is_valid
         assert all(is_square(p) for p in t.tiles)
         ratio = max(w, h) / min(w, h)
-        assert len(t.tiles) == continued_fraction(ratio).quotient_sum
+        assert len(t.tiles) == sum(continued_fraction(ratio))
 
     assert len(euclid_tiling(2, 3).tiles) == 3
     assert len(euclid_tiling(8, 13).tiles) == 6

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqtile
 from sqtile import (
@@ -32,10 +36,10 @@ from sqtile import (
     validate,
     verify_certificate,
 )
-from sqtile.cli import DEFAULT_ENCLOSURES, GeneratorDecl, TileDecl, TilingDocument
+from sqtile.cli import DEFAULT_ENCLOSURES
 from sqtile.dehn import RefutationKind
 
-from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
+from conftest import BOUWKAMP_CODES, DATA, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
 
 
 # --- default enclosures -------------------------------------------------------
@@ -52,21 +56,25 @@ def test_default_enclosures_bracket_tightly(symbol, n):
 # --- document parsing ---------------------------------------------------------
 
 
+def _doc(generators, outer, tiles) -> dict:
+    """A document from (symbol, lo, hi), (w, h) and (x, y, w, h) tuples."""
+    return {
+        "generators": [dict(zip(("symbol", "lo", "hi"), g)) for g in generators],
+        "outer": dict(zip("wh", outer)),
+        "tiles": [dict(zip("xywh", t)) for t in tiles],
+    }
+
+
 def test_parse_fig4_document(fig4_doc):
-    assert [g.symbol for g in fig4_doc.generators] == ["sqrt2", "sqrt3"]
-    assert fig4_doc.outer_h == "2 + 1*sqrt2"
-    assert len(fig4_doc.tiles) == 3
+    assert [g["symbol"] for g in fig4_doc["generators"]] == ["sqrt2", "sqrt3"]
+    assert fig4_doc["outer"]["h"] == "2 + 1*sqrt2"
+    assert len(fig4_doc["tiles"]) == 3
     _, tiling = build_tiling(fig4_doc)
     assert validate(tiling).is_valid
 
 
 def test_parse_document_undeclared_symbol(fig4_doc):
-    doc = TilingDocument(
-        fig4_doc.generators,
-        fig4_doc.outer_w,
-        fig4_doc.outer_h,
-        fig4_doc.tiles[:2] + (TileDecl("0", "0", "1", "1*sqrt5"),),
-    )
+    doc = {**fig4_doc, "tiles": fig4_doc["tiles"][:2] + [{"x": "0", "y": "0", "w": "1", "h": "1*sqrt5"}]}
     with pytest.raises(DocumentError) as exc:
         build_tiling(doc)
     assert "sqrt5" in str(exc.value)
@@ -100,9 +108,9 @@ def test_declared_known_symbol_gets_default_enclosure():
         b' "outer": {"w": "1", "h": "1*sqrt2"},'
         b' "tiles": [{"x":"0","y":"0","w":"1","h":"1*sqrt2"}]}'
     )
-    g = doc.generators[0]
-    assert Fraction(g.lo) == DEFAULT_ENCLOSURES["sqrt2"][0]
-    assert Fraction(g.hi) == DEFAULT_ENCLOSURES["sqrt2"][1]
+    g = doc["generators"][0]
+    assert Fraction(g["lo"]) == DEFAULT_ENCLOSURES["sqrt2"][0]
+    assert Fraction(g["hi"]) == DEFAULT_ENCLOSURES["sqrt2"][1]
     _, tiling = build_tiling(doc)
     assert validate(tiling).is_valid
 
@@ -118,7 +126,7 @@ def test_zero_containing_enclosure_rejected():
         )
 
 
-def _random_document(rng) -> TilingDocument:
+def _random_document(rng) -> dict:
     t = guillotine_tiling(
         rng,
         *_random_outer(rng),
@@ -143,17 +151,71 @@ def test_serialize_parse_round_trip_generated_documents():
         assert parse_document(serialize_document(doc)) == doc
 
 
+# --- fuzzed documents ---------------------------------------------------------
+
+_KEYS = st.sampled_from(["generators", "outer", "tiles", "symbol", "lo", "hi", "x", "y", "w", "h"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+_TOP_LEVEL = st.fixed_dictionaries({}, optional={"generators": _JSON, "outer": _JSON, "tiles": _JSON})
+_FIG4_TEXT = (DATA / "fig4.tiling").read_text(encoding="utf-8")
+
+
+@st.composite
+def _mutated_fig4(draw):
+    """Fig. 4 with one fault: a dropped or extra key, a value of the wrong
+    type or the wrong expression, a bad rational, or a bracket around zero."""
+    doc = json.loads(_FIG4_TEXT)
+    obj = draw(st.sampled_from([doc, doc["outer"], *doc["generators"], *doc["tiles"]]))
+    key = draw(st.sampled_from(sorted(obj)))
+    gen = draw(st.sampled_from(doc["generators"]))
+    fault = draw(st.sampled_from(["drop", "extra", "type", "expr", "rational", "straddle"]))
+    if fault == "drop":
+        del obj[key]
+    elif fault == "extra":
+        obj[draw(_KEYS | st.text(max_size=3))] = draw(_JSON)
+    elif fault == "type":
+        obj[key] = draw(_JSON)
+    elif fault == "expr":
+        obj[key] = draw(st.sampled_from(["0", "1", "-1/3", "1*sqrt3", "2 - 1*sqrt2", "1*sqrt5", "1 +"]))
+    elif fault == "rational":
+        gen[draw(st.sampled_from(["lo", "hi"]))] = draw(st.sampled_from(["1/0", "x", "1.5", "", "\u0661"]))
+    else:
+        gen["lo"], gen["hi"] = "-1", "2"
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_JSON, _TOP_LEVEL, _mutated_fig4()))
+def test_fuzzed_documents_parse_canonically_and_validate_cleanly(tmp_path_factory, value):
+    """Any JSON value is either refused with a DocumentError or parsed to a
+    document that survives a serialize/parse round trip, and validating it
+    ends in a classified exit code with one JSON report and no stderr."""
+    text = json.dumps(value)
+    try:
+        doc = parse_document(text)
+    except DocumentError:
+        pass
+    else:
+        assert parse_document(serialize_document(doc)) == doc
+    path = tmp_path_factory.getbasetemp() / "fuzzed.tiling"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_command(["validate", str(path), "--format", "json"])
+    assert code in {0, 1, 2, 3}
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict) and report["exit_code"] == code
+    assert err.getvalue() == ""
+
+
 # --- SVG rendering ------------------------------------------------------------
 
 
 def test_render_single_unit_tile():
-    doc = TilingDocument(
-        (),
-        "1",
-        "1",
-        (TileDecl("0", "0", "1", "1"),),
-    )
-    svg = render_svg(doc, precision=2)
+    svg = render_svg(_doc((), ("1", "1"), [("0", "0", "1", "1")]), precision=2)
     rects = re.findall(r"<rect[^>]*>", svg)
     assert len(rects) == 2  # frame plus the one tile
     assert 'width="1.00"' in rects[0] and 'width="1.00"' in rects[1]
@@ -193,20 +255,18 @@ def test_render_construct_output_no_overlap_at_low_precision():
 
 
 def test_render_aborts_on_invalid_document():
-    doc = TilingDocument((), "1", "2", (TileDecl("0", "0", "1", "1"),))
     with pytest.raises(InvalidTiling):
-        render_svg(doc)
+        render_svg(_doc((), ("1", "2"), [("0", "0", "1", "1")]))
+
+
+_AMBIGUOUS = (
+    [("g", "9/10", "11/10")], ("2", "1"), [("0", "0", "1*g", "1"), ("1", "0", "2 - 1*g", "1")]
+)
 
 
 def test_render_ambiguous_propagates():
-    doc = TilingDocument(
-        (GeneratorDecl("g", "9/10", "11/10"),),
-        "2",
-        "1",
-        (TileDecl("0", "0", "1*g", "1"), TileDecl("1", "0", "2 - 1*g", "1")),
-    )
     with pytest.raises(AmbiguousComparison):
-        render_svg(doc)
+        render_svg(_doc(*_AMBIGUOUS))
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -305,7 +365,7 @@ def test_cli_construct(tmp_path, capsys):
     code, _ = run(capsys, "construct", "--ratio", "13/8", "--out", str(out_file))
     assert code == 0
     doc = parse_document(out_file.read_bytes())
-    assert len(doc.tiles) == 6
+    assert len(doc["tiles"]) == 6
 
 
 def test_cli_construct_bad_ratio(capsys):
@@ -337,10 +397,29 @@ def test_cli_rationals_take_ascii_digits_only(capsys):
     rect = ("decide", "--width", "1", "--height", "1*sqrt2")
     code, out = run(capsys, *rect, "--y=-\u0661", "--format", "json")
     assert (code, json.loads(out)["detail"]) == (2, "malformed rational (near '-\u0661')")
-    # without '=' the value does not look like a negative number, so argparse refuses it
-    assert run(capsys, *rect, "--y", "-\u0661")[0] == 2
+    assert run(capsys, *rect, "--y", "-\u0661", "--format", "json") == (code, out)
     assert run(capsys, *rect, "--y", "-7/2")[0] == 1
     assert run(capsys, "construct", "--ratio", "\u0663/\u0662")[0] == 2
+
+
+def test_cli_values_with_a_leading_dash_reach_their_handler(capsys):
+    """A value that starts with one '-' is the option's value, so a
+    malformed one gets the usual input report; an exact option string
+    such as -h keeps its meaning."""
+    rect = ("decide", "--width", "1", "--height", "1*sqrt2")
+    for argv, detail in (
+        ((*rect, "--y", "-x"), "malformed rational (near '-x')"),
+        ((*rect, "--y", "-hx"), "malformed rational (near '-hx')"),
+        (("decide", "--width", "-x", "--height", "1"),
+         "expected a rational or symbol at column 1 (near '-')"),
+    ):
+        code = run_command([*argv, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"command": "decide", "exit_code": 2, "error": "input", "detail": detail}
+    assert run(capsys, *rect, "--y", "-7/2")[0] == 1
+    code, out = run(capsys, "decide", "-h")
+    assert code == 0 and out.startswith("usage: sqtile decide [-h]")
 
 
 def test_cli_root_brackets_must_contain_the_root(tmp_path, capsys):
@@ -424,18 +503,11 @@ def test_cli_repeated_gen_symbol_exit_2(fig4_path, capsys):
 
 
 def test_cli_ambiguous_exit_3(tmp_path, capsys):
-    doc = TilingDocument(
-        (GeneratorDecl("g", "9/10", "11/10"),),
-        "2",
-        "1",
-        (TileDecl("0", "0", "1*g", "1"), TileDecl("1", "0", "2 - 1*g", "1")),
-    )
-    path = tmp_path / "amb.tiling"
-    path.write_text(serialize_document(doc))
-    code, out = run(capsys, "validate", str(path))
+    path = _write(tmp_path, "amb.tiling", *_AMBIGUOUS)
+    code, out = run(capsys, "validate", path)
     assert code == 3
     # tightening the enclosure via --gen resolves it (g is sqrt2-sized here)
-    code, _ = run(capsys, "validate", str(path), "--gen", "g=[14141/10000,14143/10000]")
+    code, _ = run(capsys, "validate", path, "--gen", "g=[14141/10000,14143/10000]")
     assert code == 1  # now provably invalid: the second tile overhangs
 
 
@@ -493,10 +565,7 @@ def test_cli_malformed_gen_flag_message_is_capped(capsys):
 
 def _write(tmp_path, name, generators, outer, tiles):
     path = tmp_path / name
-    doc = TilingDocument(
-        tuple(GeneratorDecl(*g) for g in generators), *outer, tuple(TileDecl(*t) for t in tiles)
-    )
-    path.write_text(serialize_document(doc))
+    path.write_text(serialize_document(_doc(generators, outer, tiles)))
     return str(path)
 
 
