@@ -19,11 +19,10 @@ from fractions import Fraction
 
 from . import construct as construct_mod
 from .dehn import _refute, decide
-from .errors import AmbiguousComparison, DocumentError, InvalidTiling, SqtileError
+from .errors import AmbiguousComparison, DocumentError, InvalidTiling, SqtileError, clip
 from .exactnum import (
     Generator,
     GeneratorTable,
-    _tokenize,
     format_expr,
     parse_expr,
     parse_rational,
@@ -93,7 +92,7 @@ def parse_document(text) -> dict:
 
     _expect(isinstance(raw, dict), "document must be a JSON object")
     unknown = set(raw) - {"generators", "outer", "tiles"}
-    _expect(not unknown, f"unknown document keys {sorted(unknown)}")
+    _expect(not unknown, f"unknown document keys {clip(str(sorted(unknown)))}")
 
     gens_raw = raw.get("generators", [])
     _expect(isinstance(gens_raw, list), "'generators' must be a list")
@@ -104,15 +103,15 @@ def parse_document(text) -> dict:
         symbol = g["symbol"]
         _expect(isinstance(symbol, str), f"generators[{i}].symbol must be a string")
         if "lo" in g or "hi" in g:
-            _expect("lo" in g and "hi" in g, f"generator {symbol!r} needs both lo and hi")
+            _expect("lo" in g and "hi" in g, f"generator {clip(symbol, repr)} needs both lo and hi")
             lo, hi = g["lo"], g["hi"]
         elif symbol in DEFAULT_ENCLOSURES:
             dlo, dhi = DEFAULT_ENCLOSURES[symbol]
             lo, hi = str(dlo), str(dhi)
         else:
-            raise DocumentError(f"generator {symbol!r} has no enclosure and no default is known")
+            raise DocumentError(f"generator {clip(symbol, repr)} has no enclosure and no default is known")
         _expect(isinstance(lo, str) and isinstance(hi, str),
-                f"generator {symbol!r} enclosure bounds must be rational strings")
+                f"generator {clip(symbol, repr)} enclosure bounds must be rational strings")
         gens.append({"symbol": symbol, "lo": lo, "hi": hi})
 
     _expect("outer" in raw, "document is missing 'outer'")
@@ -141,15 +140,13 @@ def serialize_document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _build_table(doc: dict, overrides=()) -> GeneratorTable:
-    gens = doc["generators"]
-    decls = {g["symbol"]: (parse_rational(g["lo"]), parse_rational(g["hi"])) for g in gens}
-    order = [g["symbol"] for g in gens]
-    for g in overrides:
-        if g.symbol not in decls:
-            order.append(g.symbol)
-        decls[g.symbol] = (g.lo, g.hi)
-    return GeneratorTable(Generator(sym, *decls[sym]) for sym in order)
+def _table(decls, flags) -> GeneratorTable:
+    """The table of ``decls``, (symbol, lo, hi) in order.  Each Generator
+    in ``flags`` replaces the entry of its symbol, or follows the
+    declarations if its symbol is new."""
+    flags = {g.symbol: g for g in flags}
+    gens = [flags.pop(sym, None) or Generator(sym, lo, hi) for sym, lo, hi in decls]
+    return GeneratorTable(gens + list(flags.values()))
 
 
 def build_tiling(doc: dict, overrides=()):
@@ -160,7 +157,8 @@ def build_tiling(doc: dict, overrides=()):
     Each distinct expression text is parsed once, in document order, so
     equal texts share one LinExpr and one cached enclosure.
     """
-    table = _build_table(doc, overrides)
+    decls = [(g["symbol"], parse_rational(g["lo"]), parse_rational(g["hi"])) for g in doc["generators"]]
+    table = _table(decls, overrides)
     compiled = {}
 
     def expr(text):
@@ -267,26 +265,9 @@ def _gen_flags(args) -> tuple:
     return GeneratorTable(_parse_gen_flag(s) for s in args.gen).generators
 
 
-def _referenced_symbols(texts) -> list:
-    seen = []
-    for text in texts:
-        for kind, value, _ in _tokenize(text):
-            if kind == "symbol" and value not in seen:
-                seen.append(value)
-    return seen
-
-
-def _table_for_exprs(texts, gen_flags) -> GeneratorTable:
-    """Table for bare CLI expressions: explicit --gen declarations first,
-    then defaults for any referenced well-known symbol."""
-    gens = list(gen_flags)
-    declared = {g.symbol for g in gens}
-    for sym in _referenced_symbols(texts):
-        if sym not in declared and sym in DEFAULT_ENCLOSURES:
-            lo, hi = DEFAULT_ENCLOSURES[sym]
-            gens.append(Generator(sym, lo, hi))
-            declared.add(sym)
-    return GeneratorTable(gens)
+def _expr_table(args) -> GeneratorTable:
+    """The table for bare expressions: the built-in brackets, then --gen."""
+    return _table(((sym, lo, hi) for sym, (lo, hi) in DEFAULT_ENCLOSURES.items()), _gen_flags(args))
 
 
 def _read_document(path: str) -> dict:
@@ -297,6 +278,11 @@ def _read_document(path: str) -> dict:
             return parse_document(f.read())
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _tiling(args) -> Tiling:
+    """The command's document, built with its --gen flags."""
+    return build_tiling(_read_document(args.file), _gen_flags(args))[1]
 
 
 def _negative_y(text: str) -> Fraction:
@@ -316,9 +302,7 @@ def _emit(out_path, content: str):
 
 
 def _cmd_validate(args):
-    doc = _read_document(args.file)
-    _, t = build_tiling(doc, _gen_flags(args))
-    report = validate(t)
+    report = validate(_tiling(args))
     payload = report.as_dict()
     code = EXIT_OK if report.is_valid else EXIT_REFUTED
     lines = [f"validation: {report.verdict}"]
@@ -328,8 +312,7 @@ def _cmd_validate(args):
 
 def _cmd_decide(args):
     y = _negative_y(args.y)
-    gen_flags = _gen_flags(args)
-    table = _table_for_exprs([args.width, args.height], gen_flags)
+    table = _expr_table(args)
     w = parse_expr(args.width, table)
     h = parse_expr(args.height, table)
     verdict = decide(w, h, y=y)
@@ -349,8 +332,7 @@ def _cmd_decide(args):
 
 def _cmd_verify(args):
     y = _negative_y(args.y)
-    doc = _read_document(args.file)
-    _, t = build_tiling(doc, _gen_flags(args))
+    t = _tiling(args)
     verdict = decide(t.outer_w, t.outer_h, y=y)
     if not verdict.tilable:
         refutation = _refute(t, verdict)
@@ -370,15 +352,12 @@ def _cmd_verify(args):
     if report.is_valid and not not_square:
         payload = {"verdict": "confirmed", "ratio": rational_text(verdict.ratio)}
         return EXIT_OK, payload, ["confirmed: a valid square tiling"]
-    payload = {
-        "verdict": "refuted",
-        "failures": report.as_dict()["failures"],
-        "tiles_not_square": not_square,
-    }
+    failures = report.as_dict()["failures"]
+    payload = {"verdict": "refuted", "failures": failures, "tiles_not_square": not_square}
     lines = ["refuted: claimed square tiling is not one"]
     if not_square:
         lines.append(f"  non-square tiles: {not_square}")
-    lines += [f"  {json.dumps(f)}" for f in report.as_dict()["failures"]]
+    lines += [f"  {json.dumps(f)}" for f in failures]
     return EXIT_REFUTED, payload, lines
 
 
@@ -390,20 +369,17 @@ def _cmd_construct(args):
         raise DocumentError(f"--ratio needs more squares than the limit of {MAX_SQUARES}", token=args.ratio)
     t = construct_mod.euclid_tiling(Fraction(1), ratio)
     doc = document_from_tiling(t)
-    text = serialize_document(doc)
     payload = {"squares": len(t.tiles), "document": doc}
     if args.out:
-        _emit(args.out, text)
+        _emit(args.out, serialize_document(doc))
         lines = [f"wrote {len(t.tiles)}-square tiling to {args.out}"]
-    else:
-        lines = [text.rstrip("\n")]
+    else:  # the text is built only when printed
+        lines = [] if args.format == "json" else [serialize_document(doc).rstrip("\n")]
     return EXIT_OK, payload, lines
 
 
 def _cmd_analyze_good(args):
-    gen_flags = _gen_flags(args)
-    texts = [args.width, args.height] + list(args.side)
-    table = _table_for_exprs(texts, gen_flags)
+    table = _expr_table(args)
     to_num = lambda s: sqrt2_expr_to_num(parse_expr(s, table))
     w = to_num(args.width)
     h = to_num(args.height)
@@ -421,9 +397,7 @@ def _cmd_analyze_good(args):
 
 
 def _cmd_render(args):
-    doc = _read_document(args.file)
-    _, t = build_tiling(doc, _gen_flags(args))
-    svg = _svg(t, args.precision)
+    svg = _svg(_tiling(args), args.precision)
     payload = {"svg": svg}
     if args.out:
         _emit(args.out, svg)

@@ -1,6 +1,14 @@
 """Exception types shared across the package."""
 
 
+def clip(text: str, show=str) -> str:
+    """``show(text)``, or for text over 40 characters, ``show`` of its
+    first 40 characters followed by its length."""
+    if len(text) > 40:
+        return f"{show(text[:40])}... {len(text)} characters"
+    return show(text)
+
+
 class SqtileError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -33,8 +41,7 @@ class DocumentError(SqtileError):
     """Malformed input document or expression.
 
     ``line``/``column`` locate the problem when known; ``token`` is the
-    offending piece of text; the message shows a token longer than 40
-    characters as its first 40 and its length.
+    offending piece of text, shown through :func:`clip`.
     """
 
     def __init__(self, message, *, line=None, column=None, token=None):
@@ -43,11 +50,7 @@ class DocumentError(SqtileError):
             loc = f" at line {line}" + (f", column {column}" if column is not None else "")
         elif column is not None:
             loc = f" at column {column}"
-        tok = ""
-        if token and len(token) > 40:
-            tok = f" (near {token[:40]!r}... {len(token)} characters)"
-        elif token:
-            tok = f" (near {token!r})"
+        tok = f" (near {clip(token, repr)})" if token else ""
         super().__init__(message + loc + tok)
         self.line = line
         self.column = column

@@ -21,7 +21,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
-from .errors import AmbiguousComparison, DocumentError, TableMismatch
+from .errors import AmbiguousComparison, DocumentError, TableMismatch, clip
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -217,18 +217,18 @@ class Generator:
             raise DocumentError("the unit symbol '1' is implicit and cannot be declared")
         if not self.lo < self.hi:
             raise DocumentError(
-                f"generator {self.symbol}: enclosure needs lo < hi, got [{self.lo}, {self.hi}]"
+                f"generator {clip(self.symbol)}: enclosure needs lo < hi, got [{self.lo}, {self.hi}]"
             )
         if self.lo < 0 < self.hi:
             raise DocumentError(
-                f"generator {self.symbol}: enclosure [{self.lo}, {self.hi}] contains zero"
+                f"generator {clip(self.symbol)}: enclosure [{self.lo}, {self.hi}] contains zero"
             )
         root = _ROOT_RE.match(self.symbol)
         # Decimal reads N at any length; int(str) stops at 4,300 digits
         if root and not self.lo * abs(self.lo) <= int(Decimal(root[1])) <= self.hi * abs(self.hi):
             raise DocumentError(
-                f"generator {self.symbol}: enclosure [{rational_text(self.lo)}, "
-                f"{rational_text(self.hi)}] does not contain the square root of {root[1]}"
+                f"generator {clip(self.symbol)}: enclosure [{rational_text(self.lo)}, "
+                f"{rational_text(self.hi)}] does not contain the square root of {clip(root[1])}"
             )
 
 
@@ -246,7 +246,7 @@ class GeneratorTable:
         seen = {UNIT_SYMBOL}
         for g in gens:
             if g.symbol in seen:
-                raise DocumentError(f"duplicate generator symbol {g.symbol!r}")
+                raise DocumentError(f"duplicate generator symbol {clip(g.symbol, repr)}")
             seen.add(g.symbol)
         self._generators = gens
         self._index = {g.symbol: i + 1 for i, g in enumerate(gens)}
@@ -273,7 +273,7 @@ class GeneratorTable:
         try:
             return self._index[symbol]
         except KeyError:
-            raise DocumentError(f"undeclared symbol {symbol!r}", token=symbol) from None
+            raise DocumentError(f"undeclared symbol {clip(symbol, repr)}", token=symbol) from None
 
     def __eq__(self, other):
         if not isinstance(other, GeneratorTable):

@@ -211,6 +211,138 @@ def test_fuzzed_documents_parse_canonically_and_validate_cleanly(tmp_path_factor
     assert err.getvalue() == ""
 
 
+# --- fuzzed argv ----------------------------------------------------------------
+
+# 41 to 500 characters: "gg...g", "ab_11...1" or "sqrt77...7"; one per example,
+# so a --gen flag may declare the long name that an expression uses
+_LONG_NAME = st.shared(
+    st.builds(lambda stem, n: stem.ljust(n, stem[-1]), st.sampled_from(["g", "ab_1", "sqrt7"]), st.integers(41, 500)),
+    key="long name",
+)
+_NAME = st.one_of(*[st.sampled_from(["sqrt2", "sqrt3", "sqrt5", "sqrt8", "g"])] * 3, _LONG_NAME)
+_RATIONAL = st.sampled_from(["1", "3", "1/2", "5/2", "7/12", "1414/1000", "1415/1000", "0", "-1/3"])
+_TERM = st.tuples(_RATIONAL, st.none() | _NAME).map(lambda t: t[0] if t[1] is None else f"{t[0]}*{t[1]}")
+_EXPR = st.one_of(
+    st.sampled_from(["1", "1*sqrt2", "2 + 1*sqrt2", "3/2*sqrt3", "1 + 1*sqrt5"]),
+    st.lists(_TERM, min_size=1, max_size=3).map(" + ".join),
+)
+_BRACKET = st.one_of(st.sampled_from(["[1,3]", "[1/2,5/2]", "[1414/1000,1415/1000]"]), st.builds("[{},{}]".format, _RATIONAL, _RATIONAL))
+_GEN = st.builds("{}={}".format, _NAME, _BRACKET)
+
+
+def _ratio(quotients, invert):
+    """The rational whose continued fraction has these quotients."""
+    x = Fraction(quotients[-1])
+    for a in reversed(quotients[:-1]):
+        x = a + 1 / x
+    return 1 / x if invert else x
+
+
+_RATIO = st.builds(_ratio, st.lists(st.integers(1, 12), min_size=1, max_size=4), st.booleans()).map(str)
+
+
+@st.composite
+def _mutated(draw, values):
+    """A drawn value, or that value with one character inserted, deleted or
+    replaced.  A value that starts with "--" gets a leading space: argparse
+    reads it as an option and prints its usage error to stderr."""
+    text = draw(values)
+    edit = draw(st.sampled_from(["none"] * 6 + ["insert", "delete", "replace"]))
+    if edit != "none":
+        i = draw(st.integers(0, len(text) - (edit != "insert")))
+        c = draw(st.sampled_from(" +-*/$[],=_x1\u0661"))
+        text = text[:i] + ("" if edit == "delete" else c) + text[i + (edit != "insert"):]
+    return " " + text if text.startswith("--") else text
+
+
+@st.composite
+def _fig4_with_long_name(draw):
+    doc = json.loads(_FIG4_TEXT)
+    name = draw(_LONG_NAME)
+    where = draw(st.sampled_from(["key", "symbol", "bare", "tile"]))
+    if where == "key":
+        doc[name] = 1
+    elif where == "symbol":
+        doc["generators"][0]["symbol"] = name
+    elif where == "bare":
+        doc["generators"].append({"symbol": name})
+    else:
+        doc["tiles"][0]["w"] = f"1*{name}"
+    return doc
+
+
+_DOCUMENT = st.one_of(st.just(_FIG4_TEXT), st.one_of(_mutated_fig4(), _fig4_with_long_name()).map(json.dumps))
+
+
+@st.composite
+def _argv(draw):
+    """A parseable argv for one of the six subcommands, and its document."""
+    command = draw(st.sampled_from(["decide", "analyze-good", "validate", "verify", "render", "construct"]))
+    argv, document = [command], None
+    if command in ("decide", "analyze-good"):
+        argv += ["--width", draw(_mutated(_EXPR)), "--height", draw(_mutated(_EXPR))]
+    if command == "analyze-good":
+        for side in draw(st.lists(_mutated(_EXPR), min_size=1, max_size=3)):
+            argv += ["--side", side]
+    if command in ("validate", "verify", "render"):
+        document = draw(_DOCUMENT)
+        argv.append("-" if draw(st.booleans()) else "FILE")
+    if command in ("decide", "verify") and draw(st.booleans()):
+        argv += ["--y", draw(_mutated(st.sampled_from(["-1", "-7/2", "-3/100", "2"])))]
+    if command == "render" and draw(st.booleans()):
+        argv += ["--precision", str(draw(st.integers(-2, 12)))]
+    if command == "construct":
+        argv += ["--ratio", draw(_mutated(_RATIO))]
+    else:
+        for gen in draw(st.lists(_mutated(_GEN), max_size=2)):
+            argv += ["--gen", gen]
+    return argv + ["--format", draw(st.sampled_from(["json", "text"]))], document
+
+
+def _squares(argv):
+    """How many squares construct builds at most for this argv."""
+    try:
+        return workloads.quotient_sum(Fraction(argv[argv.index("--ratio") + 1]))
+    except (ValueError, ZeroDivisionError):
+        return 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_ends_in_one_bounded_report(tmp_path_factory, drawn):
+    """Every parseable argv of every subcommand, with valid, mutated or
+    long-named values, ends in a classified exit code with one report on
+    stdout and nothing on stderr.  The report is linear in the input: at
+    most 4 KB, plus 8 bytes per character of argv and document, plus
+    512 bytes per square that construct builds.  An input error names at
+    most a few 40-character excerpts of the input and short rationals, so
+    its report stays under 512 bytes whatever the length of a name."""
+    argv, document = drawn
+    data = (document or "").encode("utf-8")
+    if "FILE" in argv:
+        path = tmp_path_factory.getbasetemp() / "argv.tiling"
+        path.write_bytes(data)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_command(argv)
+    finally:
+        sys.stdin = saved
+    assert code in {0, 1, 2, 3}
+    assert err.getvalue() == ""
+    if argv[-1] == "json":
+        report = json.loads(out.getvalue())
+        assert isinstance(report, dict)
+        assert (report["exit_code"], report["command"]) == (code, argv[0])
+    size = len(out.getvalue().encode())
+    assert size <= 4096 + 8 * (sum(map(len, argv)) + len(data)) + 512 * _squares(argv)
+    if code == 2:
+        assert size < 512
+
+
 # --- SVG rendering ------------------------------------------------------------
 
 
@@ -502,6 +634,30 @@ def test_cli_repeated_gen_symbol_exit_2(fig4_path, capsys):
     assert (code, *capsys.readouterr()) == (2, "error: duplicate generator symbol 'g'\n", "")
 
 
+def test_cli_document_declaring_a_symbol_twice_exit_2(tmp_path, capsys):
+    twice = _write(tmp_path, "twice.tiling", [("g", "1", "2"), ("g", "1", "3")], ("1", "1"), [("0", "0", "1", "1")])
+    for gen in ((), ("--gen", "g=[1,2]")):
+        assert _input_error(capsys, "validate", twice, *gen) == "duplicate generator symbol 'g'"
+
+
+def test_cli_overridden_document_bracket_is_still_checked(tmp_path, capsys):
+    bad = _write(tmp_path, "bad.tiling", [("g", "x", "2")], ("1", "1"), [("0", "0", "1", "1")])
+    for gen in ((), ("--gen", "g=[1,2]")):
+        assert _input_error(capsys, "validate", bad, *gen) == "malformed rational (near 'x')"
+
+
+def test_cli_bare_expression_terms_follow_the_builtin_order(capsys):
+    """Bare expressions see sqrt2, sqrt3, sqrt5, then new --gen symbols, so a
+    printed expression does not depend on the order of the flags."""
+    argv = ["decide", "--width", "1*sqrt3 - 1*sqrt2 - 1/3", "--height", "1"]
+    for gens in (["sqrt3=[1,2]", "sqrt2=[1,2]"], ["sqrt2=[1,2]", "sqrt3=[1,2]"]):
+        code, out = run(capsys, *argv, *(f for g in gens for f in ("--gen", g)), "--format", "json")
+        assert (code, json.loads(out)["detail"]) == (
+            3, "cannot order -1/3 - 1*sqrt2 + 1*sqrt3 against 0: enclosures overlap; "
+            "declare tighter generator enclosures",
+        )
+
+
 def test_cli_ambiguous_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "amb.tiling", *_AMBIGUOUS)
     code, out = run(capsys, "validate", path)
@@ -561,6 +717,38 @@ def test_cli_malformed_gen_flag_message_is_capped(capsys):
     assert len(out.encode()) < 200
     code, out = run(capsys, "decide", "--width", "1*g", "--height", "1", "--gen", "g=[1]")
     assert (code, out) == (2, "error: --gen expects two comma-separated bounds (near 'g=[1]')\n")
+
+
+def test_cli_long_names_give_short_reports(tmp_path, capsys):
+    """A message shows a name, a key list or the N of sqrtN past 40
+    characters as its first 40 and its length, so the report stays short."""
+    g = "g" * 100_000
+    fig4 = json.loads(_FIG4_TEXT)
+    docs = {
+        "key": {**fig4, g: 1},
+        "symbol": {**fig4, "generators": [{"symbol": g}]},
+        "twice": {**fig4, "generators": [{"symbol": g, "lo": "1", "hi": "2"}] * 2},
+        "half": {**fig4, "generators": [{"symbol": g, "lo": "1"}]},
+        "bounds": {**fig4, "generators": [{"symbol": g, "lo": 1, "hi": 2}]},
+    }
+    probes = []
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.tiling"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        probes.append(["validate", str(path)])
+    decide = ["decide", "--width", "1", "--height", "1"]
+    probes += [
+        ["decide", "--width", f"1*{g}", "--height", "1"],
+        [*decide, "--gen", f"{g}=[2,1]"],
+        [*decide, "--gen", f"{g}=[-1,1]"],
+        [*decide, "--gen", f"{g}=[1,2]", "--gen", f"{g}=[1,3]"],
+        [*decide, "--gen", f"sqrt{'7' * 5000}=[1,2]"],
+    ]
+    for argv in probes:
+        code, out = run(capsys, *argv, "--format", "json")
+        assert (code, json.loads(out)["error"]) == (2, "input")
+        assert len(out.encode()) < 1024
+        assert re.search(r"\.\.\. \d{4,6} characters", out)
 
 
 def _write(tmp_path, name, generators, outer, tiles):
