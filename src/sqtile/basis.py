@@ -9,15 +9,28 @@ package's one commensurability test: the outer side t0 is selected
 exactly when it is not a rational multiple of s0, and otherwise its
 single coordinate is that ratio.
 
-Each selected element adds one echelon row that is never changed
-afterwards: its generator vector is 1 at its own pivot and 0 at the
-pivot of every row selected before it, so one forward pass over the
-rows in selection order zeroes every pivot.
+The elimination runs on integers.  A length x is reduced as one integer
+vector V with a positive denominator d: V's first part holds generator
+coordinates, its second part coordinates over the selected elements,
+and the invariant is
+
+    V_gen + sum_k V_coord[k] * element_k = d * x.
+
+Each selected element adds one row that is never changed afterwards: an
+integer relation R with R_gen + sum_k R_coord[k] * element_k = 0, whose
+generator part is positive at its own pivot and 0 at the pivot of every
+row selected before it.  One forward pass over the rows in selection
+order zeroes every pivot of V; after each step V and d are divided by
+their gcd.  x is in the span exactly when V_gen ends all zero, and then
+its coordinates are V_coord / d.  Values become Fractions only where
+they leave the module, in ``input_coords`` and ``coords``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .errors import NotInSpan
 from .exactnum import LinExpr
@@ -56,10 +69,11 @@ class Basis:
         known = self._known.get(p)
         if known is not None:
             return known
-        residue, acc = _reduce(self._rows, p.coeff_vector(), len(self.elements))
-        if any(residue):
+        n = len(p.table)
+        vector, d = _reduce(self._rows, p, len(self.elements))
+        if any(vector[:n]):
             raise NotInSpan(f"{p} is not in the span of the basis")
-        return tuple(acc)
+        return tuple(Fraction(v, d) for v in vector[n:])
 
     def coords_st(self, p: LinExpr) -> tuple:
         """The (s0, t0) coordinate pair of ``p``'s unique representation.
@@ -71,26 +85,28 @@ class Basis:
         return c[0], c[1] if self.has_t0 else Fraction(0)
 
 
-def _reduce(rows, vector, width):
-    """One elimination pass of the dense ``vector`` against ``rows``.
+def _reduce(rows, p: LinExpr, width: int):
+    """Reduce ``p`` against ``rows``; return the integer vector and its
+    denominator, with a coordinate part ``width`` long.
 
-    ``rows`` are ``(pivot, vec, rep)`` tuples in selection order; each
-    ``vec`` is 1 at its pivot and 0 at every earlier row's pivot, and
-    ``rep`` expresses ``vec`` over the selected elements.  Walking them
-    in that order zeroes every pivot of ``vector``, so the residue is all
-    zero exactly when ``vector`` is in the rows' span.  Returns the
-    residue and the coordinates of the eliminated part over the first
-    ``width`` selected elements.  ``vector`` is reduced in place.
+    ``rows`` are ``(pivot, R, R[pivot])`` in selection order, as the
+    module docstring states.  Each step with a nonzero ``f = V[pivot]``
+    replaces V by ``R[pivot] * V - f * R`` and d by ``R[pivot] * d``,
+    which keeps the invariant and zeroes the pivot.
     """
-    acc = [Fraction(0)] * width
-    for pivot, vec, rep in rows:
+    coeffs = p.coeff_vector()
+    d = lcm(*(c.denominator for c in coeffs))
+    vector = [c.numerator * (d // c.denominator) for c in coeffs] + [0] * width
+    for pivot, row, r in rows:
         f = vector[pivot]
-        if f != 0:
-            for k, v in enumerate(vec):
-                vector[k] -= f * v
-            for k, v in enumerate(rep):
-                acc[k] += f * v
-    return vector, acc
+        if f:
+            vector = [r * v - f * x for v, x in zip_longest(vector, row, fillvalue=0)]
+            d *= r
+            g = gcd(d, *vector)
+            if g != 1:
+                vector = [v // g for v in vector]
+                d //= g
+    return vector, d
 
 
 def extract_basis(lengths) -> Basis:
@@ -113,27 +129,30 @@ def extract_basis(lengths) -> Basis:
         if p.cmp(zero) <= 0:
             raise ValueError(f"length {p} must be positive")
 
+    n = len(table)
     elements: list[LinExpr] = []
     rows: list[tuple] = []
     input_coords: list[list[Fraction]] = []
     has_t0 = True
 
     for pos, p in enumerate(lengths):
-        residue, acc = _reduce(rows, p.coeff_vector(), len(elements))
-        if not any(residue):
+        k = len(elements)
+        vector, d = _reduce(rows, p, k)
+        pivot = next((i for i in range(n) if vector[i]), None)
+        if pivot is None:
             # in the span of the already selected elements
             if pos == 1:
                 has_t0 = False
-            input_coords.append(acc)
+            input_coords.append([Fraction(v, d) for v in vector[n:]])
             continue
 
-        # independent: underline p as a new element; the residue is
-        # already 0 at every earlier pivot, so the new row is echelon
-        k = len(elements)
+        # independent: underline p as a new element.  V is already 0 at
+        # every earlier pivot, and V with coordinate -d on p is a relation.
         elements.append(p)
-        pivot = next(i for i, v in enumerate(residue) if v != 0)
-        inv = Fraction(1) / residue[pivot]
-        rows.append((pivot, tuple(v * inv for v in residue), tuple(-c * inv for c in acc) + (inv,)))
+        row = vector + [-d]
+        if row[pivot] < 0:
+            row = [-v for v in row]
+        rows.append((pivot, row, row[pivot]))
         input_coords.append([Fraction(0)] * k + [Fraction(1)])
 
     width = len(elements)

@@ -409,11 +409,17 @@ def _cmd_render(args):
 
 class _ArgumentParser(argparse.ArgumentParser):
     def _parse_optional(self, arg_string):
-        # "-7/2" and "-x" are values, so a malformed one reaches its handler and
-        # gets an input report; only an exact option string such as -h is a flag
-        if (arg_string.startswith("-") and not arg_string.startswith("--")
-                and arg_string not in self._option_string_actions):
-            return None
+        # A flag is an option string ("-h", "--width"), one with its value
+        # ("--width=2") or an abbreviation ("--wid").  Every other string that
+        # starts with "-" is a value ("-7/2", "-x", "--1", "--g=[1,2]"), so a
+        # malformed one reaches its handler and gets an input report.
+        options = self._option_string_actions
+        if arg_string.startswith("-") and arg_string not in options:
+            name, eq, _ = arg_string.partition("=")
+            if not name.startswith("--"):
+                return None
+            if not (name in options if eq else any(s.startswith(name) for s in options)):
+                return None
         return super()._parse_optional(arg_string)
 
 

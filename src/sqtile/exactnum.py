@@ -11,6 +11,15 @@ Enclosures are computed on integers: each bracket is held as
 reduced bounds in that form, so ``LinExpr.cmp`` orders disjoint pairs by
 cross-multiplication.  The integers stay in this module; every value it
 returns is a ``Fraction``, the one termwise ``Fraction`` arithmetic gives.
+
+``parse_expr`` first tries a fast path over a strict subset of the
+grammar: a first term ``-?digits(/digits)?(*symbol)?`` or ``symbol``,
+each later term ``+`` or ``-`` followed by ``digits(/digits)?(*symbol)?``
+or ``symbol``, and only ASCII spaces between tokens.  It makes one
+``Fraction`` per term and sums only a repeated symbol.  Any other text,
+and any undeclared symbol, zero denominator or rational past the int
+digit limit, falls back to the tokenizer path, which parses the full
+grammar and is the one source of parse errors.
 """
 
 from __future__ import annotations
@@ -323,6 +332,17 @@ class LinExpr:
         return LinExpr, (self.table, self.coeffs)
 
     @classmethod
+    def _trusted(cls, table: GeneratorTable, items: tuple) -> "LinExpr":
+        """An expression from ``items`` that are already index-sorted
+        ``(index, nonzero Fraction)`` pairs over ``table``, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_enclosure", None)
+        return self
+
+    @classmethod
     def constant(cls, table: GeneratorTable, value) -> "LinExpr":
         return cls(table, {0: _as_fraction(value)})
 
@@ -362,8 +382,8 @@ class LinExpr:
         self._check_table(other)
         out = dict(self._items)
         for i, c in other._items:
-            out[i] = out.get(i, Fraction(0)) + c
-        return LinExpr(self.table, out)
+            out[i] = out[i] + c if i in out else c
+        return LinExpr._trusted(self.table, tuple(sorted(kv for kv in out.items() if kv[1])))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -373,7 +393,7 @@ class LinExpr:
         return self + (-other)
 
     def __neg__(self):
-        return LinExpr(self.table, {i: -c for i, c in self._items})
+        return LinExpr._trusted(self.table, tuple((i, -c) for i, c in self._items))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
@@ -503,6 +523,67 @@ def parse_expr(text: str, table: GeneratorTable) -> LinExpr:
 
     Errors carry the 1-based column and the offending token.
     """
+    e = _parse_fast(text, table)
+    return _parse_tokens(text, table) if e is None else e
+
+
+# One term of the fast path's subset: an optional '+' or '-', then
+# rational ('*' symbol)? or a bare symbol, with ASCII spaces between.  The
+# first term takes no '+' and a '-' only right before its digits, and
+# every later term needs its sign; _parse_fast checks both.
+_FAST_TERM_RE = re.compile(
+    r" *(?:(?P<op>[+-]) *)?"
+    r"(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?(?: *\* *(?P<sym>[A-Za-z_][A-Za-z_0-9]*))?"
+    r"|(?P<bare>[A-Za-z_][A-Za-z_0-9]*)) *"
+)
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
+def _parse_fast(text: str, table: GeneratorTable):
+    """The LinExpr of ``text`` when it lies in the fast path's subset of
+    the grammar, else None; ``_parse_tokens`` then parses it or raises.
+
+    Each term costs one Fraction, and only a repeated symbol is summed.
+    Everything outside the subset (a leading '+', "- 1" or "-sqrt2" at
+    the start, "2 - -1", whitespace other than ' ', an undeclared symbol,
+    a zero denominator, digits past the int limit) returns None.
+    """
+    index = table._index
+    coeffs: dict[int, Fraction] = {}
+    pos, end = 0, len(text)
+    while True:
+        m = _FAST_TERM_RE.match(text, pos)
+        if m is None:
+            return None
+        op, num = m["op"], m["num"]
+        if pos == 0:
+            if op is not None and (op == "+" or num is None or m.end("op") != m.start("num")):
+                return None
+        elif op is None:
+            return None
+        if num is None:
+            sym = m["bare"]
+            c = _MINUS_ONE if op == "-" else _ONE
+        else:
+            sym, den = m["sym"], m["den"]
+            try:
+                p, q = int(num), int(den) if den else 1
+            except ValueError:  # past sys.get_int_max_str_digits() digits
+                return None
+            if q == 0:
+                return None
+            c = Fraction(-p if op == "-" else p, q)
+        idx = 0 if sym is None else index.get(sym)
+        if idx is None:
+            return None
+        coeffs[idx] = coeffs[idx] + c if idx in coeffs else c
+        pos = m.end()
+        if pos == end:
+            return LinExpr._trusted(table, tuple(sorted(kv for kv in coeffs.items() if kv[1])))
+
+
+def _parse_tokens(text: str, table: GeneratorTable) -> LinExpr:
+    """The full grammar, and the one source of parse errors."""
     tokens = _tokenize(text)
     if not tokens:
         raise DocumentError("empty expression", token=text)

@@ -20,7 +20,7 @@ from sqtile import (
     parse_expr,
 )
 
-from conftest import combine, tight_table
+from conftest import combine, tight_enclosure, tight_table
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +262,106 @@ def test_coords_of_inputs_sums_and_outside_lengths(sides, data):
         basis.coords(outside)
     with pytest.raises(NotInSpan):
         basis.coords(p + outside)
+
+
+# --- the elimination against a termwise Fraction oracle ------------------------
+
+# sqrtN enclosures to 200 digits keep 64-digit combinations certified positive
+ORACLE_TABLES = {
+    n: GeneratorTable(Generator(f"sqrt{r}", *tight_enclosure(r, 200)) for r in (2, 3, 5, 7, 11, 13, 17)[: n - 1])
+    for n in range(2, 9)
+}
+
+
+def _solve(columns, target):
+    """Coordinates c with sum_k c[k] * columns[k] == target, or None when
+    ``target`` is outside their span.  ``columns`` are independent; plain
+    Gauss-Jordan elimination with one Fraction operation per entry."""
+    k = len(columns)
+    m = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    pivots = []
+    for j in range(k):
+        r = len(pivots)
+        i = next(i for i in range(r, len(m)) if m[i][j] != 0)
+        m[r], m[i] = m[i], m[r]
+        m[r] = [v / m[r][j] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][j] != 0:
+                f = m[i][j]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(j)
+    if any(row[k] != 0 for row in m[k:]):
+        return None
+    return [m[r][k] for r in range(k)]
+
+
+def _oracle_scan(lengths):
+    """The greedy in-order scan, each length solved from scratch."""
+    elements, coords = [], []
+    for p in lengths:
+        c = _solve([e.coeff_vector() for e in elements], p.coeff_vector())
+        if c is None:
+            c = [Fraction(0)] * len(elements) + [Fraction(1)]
+            elements.append(p)
+        coords.append(c)
+    return elements, [tuple(c + [Fraction(0)] * (len(elements) - len(c))) for c in coords]
+
+
+@st.composite
+def _big_fraction(draw):
+    num = draw(st.integers(1, 64).flatmap(lambda d: st.integers(-(10**d) + 1, 10**d - 1)))
+    den = draw(st.integers(1, 64).flatmap(lambda d: st.integers(1, 10**d - 1)))
+    return Fraction(num, den)
+
+
+@st.composite
+def _oracle_case(draw):
+    """Lengths over 2-8 generators (the unit included) with 1-64-digit
+    coefficients: free vectors, combinations of earlier lengths, and a t0
+    that may be a rational multiple of s0; plus lengths that are no input."""
+    table = ORACLE_TABLES[draw(st.integers(2, 8))]
+    n = len(table)
+    vectors = []
+
+    def combination():
+        vec = [Fraction(0)] * n
+        for v in vectors:
+            c = draw(st.one_of(st.just(Fraction(0)), _big_fraction()))
+            vec = [a + c * b for a, b in zip(vec, v)]
+        return vec
+
+    for i in range(draw(st.integers(2, 8))):
+        kind = draw(st.sampled_from(["free", "free", "combination"] + ["multiple"] * (i == 1)))
+        if kind == "multiple":
+            vec = [draw(_big_fraction()) * a for a in vectors[0]]
+        elif kind == "combination" and vectors:
+            vec = combination()
+        else:
+            vec = [draw(st.one_of(st.just(Fraction(0)), _big_fraction())) for _ in range(n)]
+        p = LinExpr(table, dict(enumerate(vec)))
+        if p.is_zero:
+            p = LinExpr.constant(table, draw(st.integers(1, 10**64)))
+        elif p.cmp(LinExpr.zero(table)) < 0:
+            p = -p
+        vectors.append(p.coeff_vector())
+    others = [combination() for _ in range(2)]
+    others.append([draw(st.one_of(st.just(Fraction(0)), _big_fraction())) for _ in range(n)])
+    return [LinExpr(table, dict(enumerate(v))) for v in vectors], [LinExpr(table, dict(enumerate(v))) for v in others]
+
+
+@given(_oracle_case())
+def test_extraction_matches_fraction_elimination_oracle(case):
+    lengths, others = case
+    basis = extract_basis(lengths)
+    elements, coords = _oracle_scan(lengths)
+    assert basis.elements == tuple(elements)
+    assert basis.has_t0 == (len(_oracle_scan(lengths[:2])[0]) == 2)
+    assert basis.rank == len(elements)
+    assert basis.input_coords == tuple(coords)
+    for q in others:
+        want = _solve([e.coeff_vector() for e in elements], q.coeff_vector())
+        if want is None:
+            with pytest.raises(NotInSpan):
+                basis.coords(q)
+        else:
+            assert basis.coords(q) == tuple(want)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sqtile
@@ -244,15 +244,18 @@ _RATIO = st.builds(_ratio, st.lists(st.integers(1, 12), min_size=1, max_size=4),
 @st.composite
 def _mutated(draw, values):
     """A drawn value, or that value with one character inserted, deleted or
-    replaced.  A value that starts with "--" gets a leading space: argparse
-    reads it as an option and prints its usage error to stderr."""
+    replaced, or with "--" in front.  The bare "--" is left out: argparse
+    reads it as the end of the options, never as a value."""
     text = draw(values)
-    edit = draw(st.sampled_from(["none"] * 6 + ["insert", "delete", "replace"]))
-    if edit != "none":
+    edit = draw(st.sampled_from(["none"] * 6 + ["insert", "delete", "replace", "dashes"]))
+    if edit == "dashes":
+        text = "--" + text
+    elif edit != "none":
         i = draw(st.integers(0, len(text) - (edit != "insert")))
         c = draw(st.sampled_from(" +-*/$[],=_x1\u0661"))
         text = text[:i] + ("" if edit == "delete" else c) + text[i + (edit != "insert"):]
-    return " " + text if text.startswith("--") else text
+    assume(text != "--")
+    return text
 
 
 @st.composite
@@ -552,6 +555,26 @@ def test_cli_values_with_a_leading_dash_reach_their_handler(capsys):
     assert run(capsys, *rect, "--y", "-7/2")[0] == 1
     code, out = run(capsys, "decide", "-h")
     assert code == 0 and out.startswith("usage: sqtile decide [-h]")
+
+
+def test_cli_values_with_two_leading_dashes_reach_their_handler(capsys):
+    """A value that starts with "--" but names no option is the option's
+    value; exact options, "--opt=value" and abbreviations stay flags."""
+    for argv, detail in (
+        (("decide", "--width", "--1", "--height", "1"),
+         "expected a rational or symbol at column 1 (near '-')"),
+        (("decide", "--width", "1", "--height", "1", "--gen", "--g=[1,2]"),
+         "generator symbol must be an identifier (near '--g')"),
+    ):
+        code = run_command([*argv, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"command": "decide", "exit_code": 2, "error": "input", "detail": detail}
+    rect = ("decide", "--width", "1", "--height", "1*sqrt2")
+    assert run(capsys, "decide", "--wid", "1", "--height", "1*sqrt2") == run(capsys, *rect)
+    assert run(capsys, "decide", "--width=1", "--hei", "1*sqrt2", "--format=json")[0] == 1
+    assert run_command([*rect, "--nope"]) == 2
+    assert "unrecognized arguments: --nope" in capsys.readouterr().err
 
 
 def test_cli_root_brackets_must_contain_the_root(tmp_path, capsys):

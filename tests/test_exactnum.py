@@ -31,7 +31,7 @@ from sqtile import (
 )
 
 from sqtile.cli import DEFAULT_ENCLOSURES
-from sqtile.exactnum import rational_text
+from sqtile.exactnum import _parse_fast, _parse_tokens, rational_text
 
 from conftest import tight_enclosure, tight_table, workloads
 
@@ -511,11 +511,90 @@ def test_parse_expr_end_of_input_column(table):
         assert (exc.value.column, exc.value.token) == (col, "end of input")
 
 
+# The fast path accepts a strict subset of the grammar and returns None on
+# everything else, so the tokenizer path stays the one source of errors.
+_PARSE_TABLE = GeneratorTable([*tight_table(2, 3).generators, Generator("g", Fraction(1, 2), Fraction(5, 2))])
+_BIG = "9" * 64
+_OVER = "1" + "0" * 4300  # one digit past the default int-string limit
+_PARSE_REJECTS = [
+    "+1", " + 1*sqrt2", "- 1", "-sqrt2", " -g + 1", "2 - -1", "2 +-1", "1\t+ 1", "1 +\n1",
+    "1\u00a0+ 1", "\u20031*sqrt2", "1*sqrt5", "2 + sqrt7", "1/0", "2 - 3/0*g", _OVER, "1/" + _OVER,
+    f"2 + {_OVER}*g", "\u0661", "1 + \u0662*sqrt2", "", "   ", "1 1", "2sqrt2", "1*", "1 +", "1/2/3",
+]
+_ASCII_SPACES = st.sampled_from(["", " ", "  "])
+_PARSE_SPACES = st.one_of(_ASCII_SPACES, st.sampled_from(["\t", "\n", "\u00a0", "\u2003"]))
+_GOOD_COEFFS = st.sampled_from(["0", "1", "12", "007", "7/3", "12/8", "0/5", _BIG, f"{_BIG}/{_BIG[1:]}7"])
+_PARSE_COEFFS = st.one_of(_GOOD_COEFFS, st.sampled_from(["1/0", _OVER, "\u0661", "3\u0662/4"]))
+_DECLARED = st.sampled_from(["sqrt2", "sqrt3", "g"])
+_PARSE_SYMBOLS = st.one_of(_DECLARED, st.sampled_from(["sqrt5", "_x"]))
+_PARSE_TOKENS = st.one_of(_PARSE_COEFFS, _PARSE_SYMBOLS, st.sampled_from(["+", "-", "*", "/", "^", "--", "- -"]))
+
+
+@st.composite
+def _token_strings(draw):
+    """Free token sequences, mostly malformed."""
+    parts = [draw(_PARSE_SPACES)]
+    for token in draw(st.lists(_PARSE_TOKENS, max_size=8)):
+        parts += [token, draw(_PARSE_SPACES)]
+    return "".join(parts)
+
+
+@st.composite
+def _expression_strings(draw):
+    """Term sequences, half of them inside the fast path's subset: ASCII
+    spaces and well-formed rationals.  The rest mixes in every reject."""
+    strict = draw(st.booleans())
+    spaces = _ASCII_SPACES if strict else _PARSE_SPACES
+    coeffs = _GOOD_COEFFS if strict else _PARSE_COEFFS
+    symbols = _DECLARED if strict else _PARSE_SYMBOLS
+    lead = ["", "", "-"] if strict else ["", "-", "+", "- "]
+    ops = ["+", "-"] if strict else ["+", "-", "- -", "+-"]
+    parts = [draw(spaces), draw(st.sampled_from(lead))]
+    for k in range(draw(st.integers(1, 4))):
+        if k:
+            parts += [draw(spaces), draw(st.sampled_from(ops)), draw(spaces)]
+        kind = draw(st.sampled_from(["rational", "symbol", "term", "term"]))
+        if kind == "rational":
+            parts.append(draw(coeffs))
+        elif kind == "symbol":
+            parts.append(draw(symbols))
+        else:
+            parts += [draw(coeffs), draw(spaces), "*", draw(spaces), draw(symbols)]
+    parts.append(draw(spaces))
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("text", _PARSE_REJECTS)
+def test_fast_parser_rejects_outside_its_subset(text):
+    assert _parse_fast(text, _PARSE_TABLE) is None
+
+
+@given(st.one_of(_token_strings(), _expression_strings(), _expression_strings(), st.sampled_from(_PARSE_REJECTS)))
+@example("2 -1*sqrt2 + g - 1/2*g")
+@example(f" -{_BIG}/7 * sqrt3 -  sqrt3 ")
+def test_fast_parser_agrees_with_tokenizer(text):
+    """Where the fast path gives a result it is the tokenizer path's
+    LinExpr; where the tokenizer path raises, parse_expr raises the same
+    message, column and token."""
+    fast = _parse_fast(text, _PARSE_TABLE)
+    try:
+        slow = _parse_tokens(text, _PARSE_TABLE)
+    except DocumentError as exc:
+        assert fast is None
+        with pytest.raises(DocumentError) as got:
+            parse_expr(text, _PARSE_TABLE)
+        assert (str(got.value), got.value.column, got.value.token) == (str(exc), exc.column, exc.token)
+        return
+    assert fast is None or (fast == slow and fast.table is slow.table)
+    assert parse_expr(text, _PARSE_TABLE) == slow
+
+
 def test_format_parse_round_trip(table):
     rng = random.Random(3)
     for _ in range(200):
         e = _random_expr(rng, table)
         assert parse_expr(format_expr(e), table) == e
+        assert _parse_fast(format_expr(e), table) == e  # canonical text takes the fast path
     assert format_expr(LinExpr.zero(table)) == "0"
 
 

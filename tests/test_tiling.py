@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -189,6 +190,34 @@ def test_guillotine_tilings_validate_and_mutations_fail(table):
         rep = validate(duplicated)
         assert not rep.is_valid
         assert any(f.kind == "overlap" for f in rep.failures)
+
+
+@pytest.mark.parametrize("n", [200, 400, 800, 1600])
+def test_validate_comparisons_are_n_log_n(monkeypatch, n):
+    """``validate`` of an n-tile spiral makes at most 1.65 n log2 n
+    certified comparisons and 0.145 n log2 n enclosure evaluations.  At
+    n = 200, 400, 800 and 1,600 it makes 2,289, 4,941, 10,677 and 22,976
+    comparisons (1.50 to 1.35 n log2 n) and n + 1 or n + 2 evaluations
+    (0.13 to 0.094 n log2 n)."""
+    doc = workloads.log_cabin(random.Random(n), n)
+    _, t = build_tiling(parse_document(doc.data))
+    counts = {"cmp": 0, "eval_interval": 0}
+    cmp, eval_interval = LinExpr.cmp, LinExpr.eval_interval
+
+    def counted_cmp(self, other):
+        counts["cmp"] += 1
+        return cmp(self, other)
+
+    def counted_eval_interval(self):
+        counts["eval_interval"] += 1
+        return eval_interval(self)
+
+    monkeypatch.setattr(LinExpr, "cmp", counted_cmp)
+    monkeypatch.setattr(LinExpr, "eval_interval", counted_eval_interval)
+    assert validate(t).is_valid
+    n_log_n = n * math.log2(n)
+    assert counts["cmp"] <= 1.65 * n_log_n
+    assert counts["eval_interval"] <= 0.145 * n_log_n
 
 
 def test_validate_memory_is_linear_in_tiles():
