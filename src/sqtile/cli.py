@@ -289,7 +289,7 @@ def _negative_y(text: str) -> Fraction:
     """The --y flag, parsed by the handler so its errors get a report."""
     y = parse_rational(text)
     if y >= 0:
-        raise DocumentError(f"--y must be negative, got {y}")
+        raise DocumentError(f"--y must be negative, got {clip(str(y))}")
     return y
 
 
@@ -364,7 +364,7 @@ def _cmd_verify(args):
 def _cmd_construct(args):
     ratio = parse_rational(args.ratio)
     if ratio <= 0:
-        raise DocumentError(f"--ratio must be positive, got {args.ratio}")
+        raise DocumentError(f"--ratio must be positive, got {clip(args.ratio)}")
     if sum(construct_mod.continued_fraction(ratio)) > MAX_SQUARES:
         raise DocumentError(f"--ratio needs more squares than the limit of {MAX_SQUARES}", token=args.ratio)
     t = construct_mod.euclid_tiling(Fraction(1), ratio)

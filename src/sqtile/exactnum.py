@@ -487,7 +487,7 @@ def sqrt2_expr_to_num(e: LinExpr) -> Sqrt2Num:
         elif i == idx:
             b = c
         else:
-            raise ValueError(f"{e} involves generators outside {{1, sqrt2}}")
+            raise ValueError(f"{clip(str(e))} involves generators outside {{1, sqrt2}}")
     return Sqrt2Num(a, b)
 
 

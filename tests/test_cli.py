@@ -766,6 +766,9 @@ def test_cli_long_names_give_short_reports(tmp_path, capsys):
         [*decide, "--gen", f"{g}=[-1,1]"],
         [*decide, "--gen", f"{g}=[1,2]", "--gen", f"{g}=[1,3]"],
         [*decide, "--gen", f"sqrt{'7' * 5000}=[1,2]"],
+        ["analyze-good", "--width", "1", "--height", f"1*{g}", "--side", "1", "--gen", f"{g}=[1,3]"],
+        [*decide, "--y", "7" * 4000],
+        ["construct", "--ratio", "-" + "7" * 4000],
     ]
     for argv in probes:
         code, out = run(capsys, *argv, "--format", "json")
