@@ -48,6 +48,7 @@ EXIT_INPUT = 2
 EXIT_AMBIGUOUS = 3
 
 MAX_SQUARES = 100_000  # construct's limit; each square holds about 2 KB
+MAX_PRECISION = 10_000  # render's limit on digits past the point, which size the SVG
 
 # Convergent brackets, all correct to at least 10 decimal digits.  A
 # document (or CLI expression) may use these symbols without spelling
@@ -205,7 +206,8 @@ def render_svg(doc: dict, precision: int = 6) -> str:
     """Render a validated document as SVG text.
 
     One rectangle element per tile in tile order, plus the outer frame;
-    coordinates are enclosure midpoints rounded to ``precision`` digits.
+    coordinates are enclosure midpoints rounded to ``precision`` digits,
+    0 to ``MAX_PRECISION``.
     Validation failures abort rendering (InvalidTiling), ambiguous
     comparisons propagate.
     """
@@ -215,6 +217,8 @@ def render_svg(doc: dict, precision: int = 6) -> str:
 def _svg(t: Tiling, precision: int) -> str:
     if precision < 0:
         raise ValueError("precision must be nonnegative")
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision must be at most {MAX_PRECISION}")
     report = validate(t)
     if not report.is_valid:
         raise InvalidTiling(report)

@@ -12,14 +12,11 @@ reduced bounds in that form, so ``LinExpr.cmp`` orders disjoint pairs by
 cross-multiplication.  The integers stay in this module; every value it
 returns is a ``Fraction``, the one termwise ``Fraction`` arithmetic gives.
 
-``parse_expr`` first tries a fast path over a strict subset of the
-grammar: a first term ``-?digits(/digits)?(*symbol)?`` or ``symbol``,
-each later term ``+`` or ``-`` followed by ``digits(/digits)?(*symbol)?``
-or ``symbol``, and only ASCII spaces between tokens.  It makes one
-``Fraction`` per term and sums only a repeated symbol.  Any other text,
-and any undeclared symbol, zero denominator or rational past the int
-digit limit, falls back to the tokenizer path, which parses the full
-grammar and is the one source of parse errors.
+``parse_expr`` reads the whole grammar with one term regex, one match
+and one ``Fraction`` per term, and sums only a repeated symbol.  A faulty
+term goes to one error routine, which reports what a tokenize-then-parse
+reading would: a character that starts no token, an empty text, or the
+term's first fault, with its column and token.
 """
 
 from __future__ import annotations
@@ -29,14 +26,16 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from typing import NoReturn
 
 from .errors import AmbiguousComparison, DocumentError, TableMismatch, clip
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
 RATIONAL_PATTERN = r"-?[0-9]+(?:/[0-9]+)?"  # not \d, which matches every script's digits
-_RATIONAL_RE = re.compile(RATIONAL_PATTERN + r"\Z")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+IDENT_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
+_RATIONAL_RE = re.compile(RATIONAL_PATTERN)
+_IDENT_RE = re.compile(IDENT_PATTERN + r"\Z")
 _ROOT_RE = re.compile(r"sqrt0*([1-9][0-9]*)\Z")
 
 
@@ -47,7 +46,7 @@ def parse_rational(text: str) -> Fraction:
     whitespace are rejected, as is a zero denominator.
     """
     s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    if not _RATIONAL_RE.fullmatch(s):
         raise DocumentError("malformed rational", token=text)
     num, _, den = s.partition("/")
     try:
@@ -80,10 +79,10 @@ def _as_fraction(value) -> Fraction:
 class Sqrt2Num:
     """An element a + b*sqrt(2) of Q(sqrt2), exact in both components.
 
-    The representation is unique (sqrt2 is irrational), so equality and
-    hashing are componentwise.  ``sign`` decides the sign of the real
-    value exactly, without any enclosures.  Arithmetic takes the Sqrt2Num
-    as left operand.
+    The representation is unique (sqrt2 is irrational), so equality is
+    componentwise, and a rational element hashes as the rational it
+    equals.  ``sign`` decides the sign of the real value exactly, without
+    any enclosures.  Arithmetic takes the Sqrt2Num as left operand.
     """
 
     __slots__ = ("a", "b")
@@ -161,7 +160,7 @@ class Sqrt2Num:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __repr__(self):
         return f"Sqrt2Num({self.a!r}, {self.b!r})"
@@ -498,139 +497,96 @@ def sqrt2_expr_to_num(e: LinExpr) -> Sqrt2Num:
 #   rational := ['-'] digits ('/' digits)?
 #   symbol   := declared identifier ("1" is never written)
 #
-# Whitespace is insignificant.  Example: "2 + 1*sqrt2 - 1*sqrt3".
+# Any whitespace may stand between tokens.  A '-' right before digits is
+# the rational's own, so a later term may read "-1", "- -1" or "+ -1".
+# Example: "2 + 1*sqrt2 - 1*sqrt3".
 
-_TOKEN_RE = re.compile(
-    rf"(?P<ws>\s+)|(?P<rational>{RATIONAL_PATTERN})|(?P<symbol>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*])"
+# One term, every part optional so that it always matches: a '+' or a
+# '-' that is not a rational's, then rational ('*' symbol?)? or symbol.
+# parse_expr checks what the grammar requires of the parts.  An optional
+# part is written (?:...|), not (?:...)?: the same match, but the engine
+# runs a branch, which is faster than a repeat.
+_TERM_RE = re.compile(
+    rf"\s*(?:(?P<op>\+|-(?![0-9]))\s*|)"
+    rf"(?:(?P<num>-?[0-9]+)(?:/(?P<den>[0-9]+)|)(?:\s*(?P<star>\*)\s*(?:(?P<sym>{IDENT_PATTERN})|)|)"
+    rf"|(?P<bare>{IDENT_PATTERN})|)\s*"
 )
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise DocumentError("unexpected character in expression", column=pos + 1, token=text[pos])
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    return tokens
+# The longest run of whole tokens: the character after it starts none.
+_SCAN_RE = re.compile(rf"(?:\s+|{RATIONAL_PATTERN}|{IDENT_PATTERN}|[+\-*])*")
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def parse_expr(text: str, table: GeneratorTable) -> LinExpr:
     """Parse an expression over ``table`` into a LinExpr.
 
-    Errors carry the 1-based column and the offending token.
-    """
-    e = _parse_fast(text, table)
-    return _parse_tokens(text, table) if e is None else e
-
-
-# One term of the fast path's subset: an optional '+' or '-', then
-# rational ('*' symbol)? or a bare symbol, with ASCII spaces between.  The
-# first term takes no '+' and a '-' only right before its digits, and
-# every later term needs its sign; _parse_fast checks both.
-_FAST_TERM_RE = re.compile(
-    r" *(?:(?P<op>[+-]) *)?"
-    r"(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?(?: *\* *(?P<sym>[A-Za-z_][A-Za-z_0-9]*))?"
-    r"|(?P<bare>[A-Za-z_][A-Za-z_0-9]*)) *"
-)
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
-
-
-def _parse_fast(text: str, table: GeneratorTable):
-    """The LinExpr of ``text`` when it lies in the fast path's subset of
-    the grammar, else None; ``_parse_tokens`` then parses it or raises.
-
-    Each term costs one Fraction, and only a repeated symbol is summed.
-    Everything outside the subset (a leading '+', "- 1" or "-sqrt2" at
-    the start, "2 - -1", whitespace other than ' ', an undeclared symbol,
-    a zero denominator, digits past the int limit) returns None.
+    Each term costs one match and one Fraction, and only a repeated
+    symbol is summed.  Errors carry the 1-based column and the offending
+    token.
     """
     index = table._index
     coeffs: dict[int, Fraction] = {}
     pos, end = 0, len(text)
     while True:
-        m = _FAST_TERM_RE.match(text, pos)
-        if m is None:
-            return None
-        op, num = m["op"], m["num"]
-        if pos == 0:
-            if op is not None and (op == "+" or num is None or m.end("op") != m.start("num")):
-                return None
-        elif op is None:
-            return None
+        m = _TERM_RE.match(text, pos)
+        op, num, den, star, sym, bare = m.groups()
+        # a first term has no sign before it; a later one has a '+' or
+        # '-', or its rational's own '-'
+        if op is not None if pos == 0 else op is None and (num is None or num[0] != "-"):
+            _raise_parse_error(text, table, pos)
         if num is None:
-            sym = m["bare"]
-            c = _MINUS_ONE if op == "-" else _ONE
+            if bare is None:
+                _raise_parse_error(text, table, pos)
+            sym, c = bare, _MINUS_ONE if op == "-" else _ONE
         else:
-            sym, den = m["sym"], m["den"]
             try:
                 p, q = int(num), int(den) if den else 1
             except ValueError:  # past sys.get_int_max_str_digits() digits
-                return None
-            if q == 0:
-                return None
+                q = 0
+            if q == 0 or star and sym is None:
+                _raise_parse_error(text, table, pos)
             c = Fraction(-p if op == "-" else p, q)
         idx = 0 if sym is None else index.get(sym)
         if idx is None:
-            return None
+            _raise_parse_error(text, table, pos)
         coeffs[idx] = coeffs[idx] + c if idx in coeffs else c
         pos = m.end()
         if pos == end:
             return LinExpr._trusted(table, tuple(sorted(kv for kv in coeffs.items() if kv[1])))
 
 
-def _parse_tokens(text: str, table: GeneratorTable) -> LinExpr:
-    """The full grammar, and the one source of parse errors."""
-    tokens = _tokenize(text)
-    if not tokens:
+def _raise_parse_error(text: str, table: GeneratorTable, pos: int) -> NoReturn:
+    """Raise the error of the term at ``pos``, the first faulty one.
+
+    First comes a character that can start no token, anywhere from
+    ``pos`` on, then an empty text, then the term's first fault: its
+    signs, its rational's value, the symbol after '*', the symbol lookup.
+    """
+    bad = _SCAN_RE.match(text, pos).end()
+    if bad < len(text):
+        raise DocumentError("unexpected character in expression", column=bad + 1, token=text[bad])
+    if not text.strip():
         raise DocumentError("empty expression", token=text)
-    coeffs: dict[int, Fraction] = {}
-
-    def add(idx, c):
-        coeffs[idx] = coeffs.get(idx, Fraction(0)) + c
-
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = Fraction(1)
-        kind, value, col = tokens[i]
-        if not first:
-            if kind == "rational" and value.startswith("-"):
-                # "2 -1*sqrt2": the '-' was swallowed by the rational token
-                sign = Fraction(-1)
-                value = value[1:]
-            elif kind == "op" and value in "+-":
-                if value == "-":
-                    sign = Fraction(-1)
-                i += 1
-                if i >= len(tokens):
-                    raise DocumentError("dangling operator", column=col, token=value)
-                kind, value, col = tokens[i]
-            else:
-                raise DocumentError("expected '+' or '-'", column=col, token=value)
-        first = False
-
-        if kind == "rational":
-            coeff = sign * parse_rational(value)
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "symbol":
-                    bad = tokens[i] if i < len(tokens) else (None, "end of input", len(text) + 1)
-                    raise DocumentError("expected a symbol after '*'", column=bad[2], token=bad[1])
-                add(table.index(tokens[i][1]), coeff)
-                i += 1
-            else:
-                add(0, coeff)
-        elif kind == "symbol":
-            add(table.index(value), sign)
-            i += 1
-        else:
-            raise DocumentError("expected a rational or symbol", column=col, token=value)
-    return LinExpr(table, coeffs)
+    m = _TERM_RE.match(text, pos)
+    op, sym = m["op"], m["sym"] or m["bare"]
+    rat = m["num"] and _RATIONAL_RE.match(text, m.start("num"))[0]
+    after = m.end()  # where the next token starts, or len(text)
+    if op is not None and pos == 0:
+        raise DocumentError("expected a rational or symbol", column=m.start("op") + 1, token=op)
+    if op is None and pos and not (rat and rat[0] == "-"):
+        raise DocumentError("expected '+' or '-'", column=pos + 1, token=rat or sym or text[pos])
+    if rat is None and sym is None:
+        if after == len(text):
+            raise DocumentError("dangling operator", column=m.start("op") + 1, token=op)
+        raise DocumentError("expected a rational or symbol", column=after + 1, token=text[after])
+    if rat is not None:
+        # raises on a bad value; in "2 -1" the '-' is the term's sign
+        parse_rational(rat[1:] if op is None and pos else rat)
+        if m["star"] and sym is None:
+            tail = _RATIONAL_RE.match(text, after)
+            token = "end of input" if after == len(text) else tail[0] if tail else text[after]
+            raise DocumentError("expected a symbol after '*'", column=after + 1, token=token)
+    if sym is not None:
+        table.index(sym)
 
 
 def format_expr(e: LinExpr) -> str:

@@ -977,6 +977,13 @@ def test_cli_render_precision_past_int_digit_limit(fig4_path, capsys):
     assert view_box[2] == str(want)
 
 
+def test_cli_render_precision_is_bounded(fig4_path, capsys):
+    code, out = run(capsys, "render", fig4_path, "--precision", "10001", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "input" and len(out.encode()) < 512
+    assert run(capsys, "render", fig4_path, "--precision", "10000", "--format", "json")[0] == 0
+
+
 @pytest.mark.parametrize("name", sorted(BOUWKAMP_CODES))
 def test_bouwkamp_squares_confirm_and_stretched_refute(name, tmp_path, capsys):
     """Non-guillotine squared rectangles: verify confirms them with ratio

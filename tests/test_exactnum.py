@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from sqtile import (
 )
 
 from sqtile.cli import DEFAULT_ENCLOSURES
-from sqtile.exactnum import _parse_fast, _parse_tokens, rational_text
+from sqtile.exactnum import rational_text
 
 from conftest import tight_enclosure, tight_table, workloads
 
@@ -109,6 +110,13 @@ def test_conjugation_is_a_homomorphism(s, t):
 def test_conjugation_involution_and_fixed_points(s):
     assert s.conj().conj() == s
     assert (s.conj() == s) == (s.b == 0)
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_rational_element_equals_and_hashes_as_its_rational(q):
+    assert q == Sqrt2Num(q) and Sqrt2Num(q) == q
+    assert hash(q) == hash(Sqrt2Num(q))
+    assert len({q, Sqrt2Num(q)}) == 1
 
 
 def _sign_oracle(s: Sqrt2Num) -> int:
@@ -511,8 +519,79 @@ def test_parse_expr_end_of_input_column(table):
         assert (exc.value.column, exc.value.token) == (col, "end of input")
 
 
-# The fast path accepts a strict subset of the grammar and returns None on
-# everything else, so the tokenizer path stays the one source of errors.
+# The tokenize-then-parse reading of the grammar, as parse_expr had it
+# before its one-regex scanner: the oracle for results and for the
+# message, column and token of every error.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<rational>-?[0-9]+(?:/[0-9]+)?)|(?P<symbol>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*])"
+)
+
+
+def _reference_parse(text, table):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise DocumentError("unexpected character in expression", column=pos + 1, token=text[pos])
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos + 1))
+        pos = m.end()
+    if not tokens:
+        raise DocumentError("empty expression", token=text)
+    coeffs = {}
+
+    def add(idx, c):
+        coeffs[idx] = coeffs.get(idx, Fraction(0)) + c
+
+    i = 0
+    first = True
+    while i < len(tokens):
+        sign = Fraction(1)
+        kind, value, col = tokens[i]
+        if not first:
+            if kind == "rational" and value.startswith("-"):
+                sign = Fraction(-1)
+                value = value[1:]
+            elif kind == "op" and value in "+-":
+                if value == "-":
+                    sign = Fraction(-1)
+                i += 1
+                if i >= len(tokens):
+                    raise DocumentError("dangling operator", column=col, token=value)
+                kind, value, col = tokens[i]
+            else:
+                raise DocumentError("expected '+' or '-'", column=col, token=value)
+        first = False
+
+        if kind == "rational":
+            coeff = sign * parse_rational(value)
+            i += 1
+            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
+                i += 1
+                if i >= len(tokens) or tokens[i][0] != "symbol":
+                    bad = tokens[i] if i < len(tokens) else (None, "end of input", len(text) + 1)
+                    raise DocumentError("expected a symbol after '*'", column=bad[2], token=bad[1])
+                add(table.index(tokens[i][1]), coeff)
+                i += 1
+            else:
+                add(0, coeff)
+        elif kind == "symbol":
+            add(table.index(value), sign)
+            i += 1
+        else:
+            raise DocumentError("expected a rational or symbol", column=col, token=value)
+    return LinExpr(table, coeffs)
+
+
+def _outcome(parse, text):
+    """The LinExpr, or the (message, column, token) of the error."""
+    try:
+        return parse(text, _PARSE_TABLE)
+    except DocumentError as exc:
+        return (str(exc), exc.column, exc.token)
+
+
 _PARSE_TABLE = GeneratorTable([*tight_table(2, 3).generators, Generator("g", Fraction(1, 2), Fraction(5, 2))])
 _BIG = "9" * 64
 _OVER = "1" + "0" * 4300  # one digit past the default int-string limit
@@ -541,8 +620,9 @@ def _token_strings(draw):
 
 @st.composite
 def _expression_strings(draw):
-    """Term sequences, half of them inside the fast path's subset: ASCII
-    spaces and well-formed rationals.  The rest mixes in every reject."""
+    """Term sequences, half of them well formed with ASCII spaces.  The
+    rest mixes in other whitespace, bad rationals, undeclared symbols and
+    misplaced signs."""
     strict = draw(st.booleans())
     spaces = _ASCII_SPACES if strict else _PARSE_SPACES
     coeffs = _GOOD_COEFFS if strict else _PARSE_COEFFS
@@ -566,27 +646,30 @@ def _expression_strings(draw):
 
 @pytest.mark.parametrize("text", _PARSE_REJECTS)
 def test_fast_parser_rejects_outside_its_subset(text):
-    assert _parse_fast(text, _PARSE_TABLE) is None
+    """Texts outside the canonical form: other whitespace, signs the
+    grammar forbids or allows only there, bad rationals, undeclared
+    symbols and broken terms read as the reference reads them."""
+    assert _outcome(parse_expr, text) == _outcome(_reference_parse, text)
 
 
 @given(st.one_of(_token_strings(), _expression_strings(), _expression_strings(), st.sampled_from(_PARSE_REJECTS)))
 @example("2 -1*sqrt2 + g - 1/2*g")
 @example(f" -{_BIG}/7 * sqrt3 -  sqrt3 ")
-def test_fast_parser_agrees_with_tokenizer(text):
-    """Where the fast path gives a result it is the tokenizer path's
-    LinExpr; where the tokenizer path raises, parse_expr raises the same
-    message, column and token."""
-    fast = _parse_fast(text, _PARSE_TABLE)
-    try:
-        slow = _parse_tokens(text, _PARSE_TABLE)
-    except DocumentError as exc:
-        assert fast is None
-        with pytest.raises(DocumentError) as got:
-            parse_expr(text, _PARSE_TABLE)
-        assert (str(got.value), got.value.column, got.value.token) == (str(exc), exc.column, exc.token)
-        return
-    assert fast is None or (fast == slow and fast.table is slow.table)
-    assert parse_expr(text, _PARSE_TABLE) == slow
+@example("1/0 $")  # an unexpected character anywhere comes first
+@example("1/0 *")  # then the rational's value, before the '*' check
+@example("--1")
+@example("2 --1")
+@example("1 + *")
+@example(" -g + 1")
+@example("2 -1/0*g")  # the token is the rational without the term's sign
+def test_parser_matches_reference(text):
+    """parse_expr gives the reference's LinExpr, or raises its message,
+    column and token."""
+    got = _outcome(parse_expr, text)
+    want = _outcome(_reference_parse, text)
+    assert got == want
+    if isinstance(want, LinExpr):
+        assert got.table is want.table
 
 
 def test_format_parse_round_trip(table):
@@ -594,7 +677,6 @@ def test_format_parse_round_trip(table):
     for _ in range(200):
         e = _random_expr(rng, table)
         assert parse_expr(format_expr(e), table) == e
-        assert _parse_fast(format_expr(e), table) == e  # canonical text takes the fast path
     assert format_expr(LinExpr.zero(table)) == "0"
 
 
