@@ -57,7 +57,7 @@ from .dehn import (
 )
 from .construct import continued_fraction, euclid_tiling
 # The CLI names load on first use (PEP 562), so importing the library
-# does not import argparse and json, and ``python -m sqtile.cli`` runs
+# does not import cli.py and json, and ``python -m sqtile.cli`` runs
 # cli.py only once.
 _CLI_NAMES = frozenset({
     "DEFAULT_ENCLOSURES",

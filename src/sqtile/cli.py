@@ -11,11 +11,12 @@ parse error, 3 ambiguous comparison (enclosures too coarse).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import construct as construct_mod
 from .dehn import _refute, decide
@@ -290,7 +291,7 @@ def _tiling(args) -> Tiling:
 
 
 def _negative_y(text: str) -> Fraction:
-    """The --y flag, parsed by the handler so its errors get a report."""
+    """The --y flag, a negative rational."""
     y = parse_rational(text)
     if y >= 0:
         raise DocumentError(f"--y must be negative, got {clip(str(y))}")
@@ -401,7 +402,9 @@ def _cmd_analyze_good(args):
 
 
 def _cmd_render(args):
-    svg = _svg(_tiling(args), args.precision)
+    if not (args.precision.isascii() and args.precision.isdigit()):  # ASCII digits, as in the rationals
+        raise DocumentError("--precision must be a nonnegative integer", token=args.precision)
+    svg = _svg(_tiling(args), int(args.precision))
     payload = {"svg": svg}
     if args.out:
         _emit(args.out, svg)
@@ -411,91 +414,88 @@ def _cmd_render(args):
     return EXIT_OK, payload, lines
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def _parse_optional(self, arg_string):
-        # A flag is an option string ("-h", "--width"), one with its value
-        # ("--width=2") or an abbreviation ("--wid").  Every other string that
-        # starts with "-" is a value ("-7/2", "-x", "--1", "--g=[1,2]"), so a
-        # malformed one reaches its handler and gets an input report.
-        options = self._option_string_actions
-        if arg_string.startswith("-") and arg_string not in options:
-            name, eq, _ = arg_string.partition("=")
-            if not name.startswith("--"):
-                return None
-            if not (name in options if eq else any(s.startswith(name) for s in options)):
-                return None
-        return super()._parse_optional(arg_string)
+def _cmd_help(args):
+    lines = []
+    for command in [args.command] if args.command else _COMMANDS:
+        _, positional, options = _COMMANDS[command]
+        words = [f"usage: sqtile {command} [-h]"] + ([positional] if positional else [])
+        for name, opt in {**options, "--format": _FORMAT}.items():
+            word = f"{name} {opt.metavar}" + (" ..." if opt.repeats else "")
+            words.append(word if opt.required else f"[{word}]")
+        lines.append(" ".join(words))
+    return EXIT_OK, {"usage": "\n".join(lines)}, lines
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="sqtile",
-        description="Decide, certify, validate, construct and render square tilings "
-        "of rectangles, in exact arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_Option = namedtuple("_Option", "metavar default required repeats", defaults=(None, False, False))
+_EXPR = _Option("EXPR", required=True)
+_Y = _Option("Q", "-1")
+_SIDE = _Option("EXPR", required=True, repeats=True)
+_GEN = _Option("SYMBOL=[lo,hi]", repeats=True)
+_FORMAT = _Option("text|json", "text")
 
-    def common(p, *, gen=True):
-        if gen:
-            p.add_argument("--gen", action="append", default=[], metavar="SYMBOL=[lo,hi]",
-                           help="declare or override a generator enclosure "
-                           "(repeatable, at most once per symbol)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+# Each subcommand's handler, positional argument (or None) and options;
+# an option names its value, gives its default, and is required or
+# repeats (giving a list).  Every subcommand also takes --format and -h.
+_COMMANDS = {
+    "validate": (_cmd_validate, "FILE", {"--gen": _GEN}),
+    "decide": (_cmd_decide, None, {"--width": _EXPR, "--height": _EXPR, "--y": _Y, "--gen": _GEN}),
+    "verify": (_cmd_verify, "FILE", {"--y": _Y, "--gen": _GEN}),
+    "construct": (_cmd_construct, None, {"--ratio": _Option("P/Q", required=True), "--out": _Option("FILE")}),
+    "analyze-good": (_cmd_analyze_good, None,
+                     {"--width": _EXPR, "--height": _EXPR, "--side": _SIDE, "--gen": _GEN}),
+    "render": (_cmd_render, "FILE", {"--precision": _Option("N", "6"), "--out": _Option("FILE"), "--gen": _GEN}),
+}
 
-    p = sub.add_parser("validate", help="check a tiling document geometrically")
-    p.add_argument("file", help=".tiling document (or - for stdin)")
-    common(p)
-    p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("decide", help="decide square-tilability of a rectangle")
-    p.add_argument("--width", required=True, metavar="EXPR")
-    p.add_argument("--height", required=True, metavar="EXPR")
-    p.add_argument("--y", default="-1",
-                   help="certificate parameter, a negative rational (default -1)")
-    common(p)
-    p.set_defaults(handler=_cmd_decide)
+def _read_argv(argv):
+    """Read argv by ``_COMMANDS`` into (args, the first fault or None).
 
-    p = sub.add_parser("verify", help="verify or refute a claimed square tiling")
-    p.add_argument("file", help=".tiling document (or - for stdin)")
-    p.add_argument("--y", default="-1",
-                   help="certificate parameter, a negative rational (default -1)")
-    common(p)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("construct", help="build a square tiling for a rational ratio")
-    p.add_argument("--ratio", required=True, metavar="P/Q")
-    p.add_argument("--out", metavar="FILE")
-    common(p, gen=False)
-    p.set_defaults(handler=_cmd_construct)
-
-    p = sub.add_parser("analyze-good", help="area/conjugate analysis of claimed squares in Q(sqrt2)")
-    p.add_argument("--width", required=True, metavar="EXPR")
-    p.add_argument("--height", required=True, metavar="EXPR")
-    p.add_argument("--side", action="append", required=True, metavar="EXPR",
-                   help="claimed square side (repeatable)")
-    common(p)
-    p.set_defaults(handler=_cmd_analyze_good)
-
-    p = sub.add_parser("render", help="render a tiling document as SVG")
-    p.add_argument("file", help=".tiling document (or - for stdin)")
-    p.add_argument("--precision", type=int, default=6, metavar="N")
-    p.add_argument("--out", metavar="FILE")
-    common(p)
-    p.set_defaults(handler=_cmd_render)
-
-    return parser
+    A unique prefix names an option, whose value is the text after "=" or
+    else the next string, whatever it is.  Any other string not starting
+    with "--" is the FILE ("-" for stdin).  "-h" wins over every fault.
+    The scan runs to the end, so the last valid --format always counts."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    handler, positional, options = _COMMANDS.get(command, (None, None, {}))
+    options = {**options, "--format": _FORMAT, "--help": None}
+    values = {}
+    fault = None if command else DocumentError(f"expected a subcommand: {', '.join(_COMMANDS)}",
+                                               token=argv[0] if argv else None)
+    rest = iter(argv[1:] if command else argv)
+    for arg in rest:
+        name, eq, value = ("--help", "", "") if arg == "-h" else arg.partition("=")
+        matches = [name] if name in options else [o for o in options if o.startswith(name)]
+        if not name.startswith("--") and positional and "file" not in values:
+            values["file"] = arg
+        elif name == "--" or not name.startswith("--"):
+            fault = fault or DocumentError("unexpected argument", token=arg)
+        elif len(matches) != 1:
+            fault = fault or DocumentError("ambiguous option" if matches else "unknown option", token=name)
+        elif matches[0] == "--help":
+            handler = _cmd_help
+        elif not eq and (value := next(rest, None)) is None:
+            fault = fault or DocumentError(f"{matches[0]} needs a value")
+        elif matches[0] == "--format" and value not in ("text", "json"):
+            fault = fault or DocumentError("--format must be text or json", token=value)
+        elif options[matches[0]].repeats:
+            values.setdefault(matches[0][2:], []).append(value)
+        else:
+            values[matches[0][2:]] = value
+    for name, opt in options.items():
+        if opt is not None and name[2:] not in values:
+            if opt.required:
+                fault = fault or DocumentError(f"missing option {name} {opt.metavar}")
+            values[name[2:]] = [] if opt.repeats else opt.default
+    if positional and "file" not in values:
+        fault = fault or DocumentError(f"missing {positional}, a .tiling document or - for stdin")
+    return SimpleNamespace(command=command, handler=handler, **values), None if handler is _cmd_help else fault
 
 
 def run_command(argv) -> int:
     """Execute one CLI invocation and print its report; returns the exit code."""
-    parser = _build_parser()
+    args, fault = _read_argv(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage, matching the input-error code
-        return int(exc.code or 0)
-
-    try:
+        if fault is not None:
+            raise fault
         code, payload, lines = args.handler(args)
     except AmbiguousComparison as exc:
         code = EXIT_AMBIGUOUS

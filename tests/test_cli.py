@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqtile
@@ -244,8 +244,7 @@ _RATIO = st.builds(_ratio, st.lists(st.integers(1, 12), min_size=1, max_size=4),
 @st.composite
 def _mutated(draw, values):
     """A drawn value, or that value with one character inserted, deleted or
-    replaced, or with "--" in front.  The bare "--" is left out: argparse
-    reads it as the end of the options, never as a value."""
+    replaced, or with "--" in front."""
     text = draw(values)
     edit = draw(st.sampled_from(["none"] * 6 + ["insert", "delete", "replace", "dashes"]))
     if edit == "dashes":
@@ -254,7 +253,6 @@ def _mutated(draw, values):
         i = draw(st.integers(0, len(text) - (edit != "insert")))
         c = draw(st.sampled_from(" +-*/$[],=_x1\u0661"))
         text = text[:i] + ("" if edit == "delete" else c) + text[i + (edit != "insert"):]
-    assume(text != "--")
     return text
 
 
@@ -277,29 +275,52 @@ def _fig4_with_long_name(draw):
 _DOCUMENT = st.one_of(st.just(_FIG4_TEXT), st.one_of(_mutated_fig4(), _fig4_with_long_name()).map(json.dumps))
 
 
+_USAGE_FAULTS = ["none"] * 6 + [
+    "unknown option", "dropped", "repeated", "extra positional", "bare --", "unknown subcommand", "-h",
+]
+
+
 @st.composite
 def _argv(draw):
-    """A parseable argv for one of the six subcommands, and its document."""
+    """An argv for one of the six subcommands, its document and its usage
+    fault.  Units (an option with its value, or the FILE) are drawn first;
+    the fault drops a required unit, repeats an option, puts a string
+    between two units or replaces the subcommand.  "--format" is last."""
     command = draw(st.sampled_from(["decide", "analyze-good", "validate", "verify", "render", "construct"]))
-    argv, document = [command], None
+    units, document = [], None
     if command in ("decide", "analyze-good"):
-        argv += ["--width", draw(_mutated(_EXPR)), "--height", draw(_mutated(_EXPR))]
+        units += [["--width", draw(_mutated(_EXPR))], ["--height", draw(_mutated(_EXPR))]]
     if command == "analyze-good":
-        for side in draw(st.lists(_mutated(_EXPR), min_size=1, max_size=3)):
-            argv += ["--side", side]
+        units += [["--side", side] for side in draw(st.lists(_mutated(_EXPR), min_size=1, max_size=3))]
     if command in ("validate", "verify", "render"):
         document = draw(_DOCUMENT)
-        argv.append("-" if draw(st.booleans()) else "FILE")
+        units.append(["-" if draw(st.booleans()) else "FILE"])
     if command in ("decide", "verify") and draw(st.booleans()):
-        argv += ["--y", draw(_mutated(st.sampled_from(["-1", "-7/2", "-3/100", "2"])))]
+        units.append(["--y", draw(_mutated(st.sampled_from(["-1", "-7/2", "-3/100", "2"])))])
     if command == "render" and draw(st.booleans()):
-        argv += ["--precision", str(draw(st.integers(-2, 12)))]
+        units.append(["--precision", draw(_mutated(st.integers(-2, 12).map(str)))])
     if command == "construct":
-        argv += ["--ratio", draw(_mutated(_RATIO))]
+        units.append(["--ratio", draw(_mutated(_RATIO))])
     else:
-        for gen in draw(st.lists(_mutated(_GEN), max_size=2)):
-            argv += ["--gen", gen]
-    return argv + ["--format", draw(st.sampled_from(["json", "text"]))], document
+        units += [["--gen", gen] for gen in draw(st.lists(_mutated(_GEN), max_size=2))]
+    fault = draw(st.sampled_from(_USAGE_FAULTS))
+    if fault == "dropped":
+        required = {"--width", "--height", "--side", "--ratio", "-", "FILE"}
+        name = draw(st.sampled_from([u[0] for u in units if u[0] in required]))
+        units = [u for u in units if u[0] != name]
+    elif fault == "unknown subcommand":
+        command = draw(st.sampled_from(["bogus", "decid", "Validate", "", "-x", "-"]))
+    elif fault != "none":
+        inserted = draw({
+            "unknown option": st.sampled_from(["--bogus", "--nope=1", "--xyz", "--1", "---"]).map(lambda s: [s]),
+            "repeated": st.sampled_from([u for u in units if u[0].startswith("--")] or [["--format", "text"]]),
+            "extra positional": st.sampled_from(["extra", "-", "-x", "1", "a=b"]).map(lambda s: [s]),
+            "bare --": st.just(["--"]),
+            "-h": st.sampled_from(["-h", "--help"]).map(lambda s: [s]),
+        }[fault])
+        units.insert(draw(st.integers(0, len(units))), inserted)
+    argv = [command, *(s for u in units for s in u)]
+    return argv + ["--format", draw(st.sampled_from(["json", "text"]))], document, fault
 
 
 def _squares(argv):
@@ -313,14 +334,17 @@ def _squares(argv):
 @settings(max_examples=100, deadline=None)
 @given(_argv())
 def test_fuzzed_argv_ends_in_one_bounded_report(tmp_path_factory, drawn):
-    """Every parseable argv of every subcommand, with valid, mutated or
-    long-named values, ends in a classified exit code with one report on
-    stdout and nothing on stderr.  The report is linear in the input: at
+    """Every argv of every subcommand, with valid, mutated or long-named
+    values and at most one usage fault, ends in a classified exit code
+    with one report on stdout, in the format of the last --format, and
+    nothing on stderr.  A usage fault is an input error (exit 2), and -h
+    is a usage report (exit 0); a JSON report names the subcommand, or
+    null when argv names none.  The report is linear in the input: at
     most 4 KB, plus 8 bytes per character of argv and document, plus
     512 bytes per square that construct builds.  An input error names at
     most a few 40-character excerpts of the input and short rationals, so
     its report stays under 512 bytes whatever the length of a name."""
-    argv, document = drawn
+    argv, document, fault = drawn
     data = (document or "").encode("utf-8")
     if "FILE" in argv:
         path = tmp_path_factory.getbasetemp() / "argv.tiling"
@@ -336,10 +360,21 @@ def test_fuzzed_argv_ends_in_one_bounded_report(tmp_path_factory, drawn):
         sys.stdin = saved
     assert code in {0, 1, 2, 3}
     assert err.getvalue() == ""
+    command = None if fault == "unknown subcommand" else argv[0]
+    if fault == "-h":
+        assert code == 0
+    elif fault not in ("none", "repeated"):
+        assert code == 2
     if argv[-1] == "json":
         report = json.loads(out.getvalue())
         assert isinstance(report, dict)
-        assert (report["exit_code"], report["command"]) == (code, argv[0])
+        assert (report["exit_code"], report["command"]) == (code, command)
+        if fault == "-h":
+            assert report["usage"].startswith(f"usage: sqtile {command} [-h]")
+        elif code == 2:
+            assert report["error"] == "input"
+    elif fault == "-h":
+        assert out.getvalue().startswith(f"usage: sqtile {command} [-h]")
     size = len(out.getvalue().encode())
     assert size <= 4096 + 8 * (sum(map(len, argv)) + len(data)) + 512 * _squares(argv)
     if code == 2:
@@ -558,13 +593,19 @@ def test_cli_values_with_a_leading_dash_reach_their_handler(capsys):
 
 
 def test_cli_values_with_two_leading_dashes_reach_their_handler(capsys):
-    """A value that starts with "--" but names no option is the option's
-    value; exact options, "--opt=value" and abbreviations stay flags."""
+    """An option's value is the next string, whatever it is, the bare "--"
+    included, or the text after "="; exact options, "--opt=value" and
+    abbreviations stay flags, and an unknown option is an input error."""
     for argv, detail in (
         (("decide", "--width", "--1", "--height", "1"),
          "expected a rational or symbol at column 1 (near '-')"),
         (("decide", "--width", "1", "--height", "1", "--gen", "--g=[1,2]"),
          "generator symbol must be an identifier (near '--g')"),
+        (("decide", "--width", "--", "--height", "1"),
+         "expected a rational or symbol at column 1 (near '-')"),
+        (("decide", "--width=--", "--height", "1"),
+         "expected a rational or symbol at column 1 (near '-')"),
+        (("decide", "--width", "1", "--height", "1*sqrt2", "--nope"), "unknown option (near '--nope')"),
     ):
         code = run_command([*argv, "--format", "json"])
         out, err = capsys.readouterr()
@@ -573,8 +614,7 @@ def test_cli_values_with_two_leading_dashes_reach_their_handler(capsys):
     rect = ("decide", "--width", "1", "--height", "1*sqrt2")
     assert run(capsys, "decide", "--wid", "1", "--height", "1*sqrt2") == run(capsys, *rect)
     assert run(capsys, "decide", "--width=1", "--hei", "1*sqrt2", "--format=json")[0] == 1
-    assert run_command([*rect, "--nope"]) == 2
-    assert "unrecognized arguments: --nope" in capsys.readouterr().err
+    assert run(capsys, "decide", "--wid=1", "--height", "1*sqrt2") == run(capsys, *rect)
 
 
 def test_cli_root_brackets_must_contain_the_root(tmp_path, capsys):
@@ -903,6 +943,11 @@ def test_cli_closed_stdout_exits_with_the_command_code():
     assert err == b""
 
 
+def test_cli_import_leaves_argparse_and_gettext_unloaded():
+    proc = _python("-c", "import sys, sqtile.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    assert proc.stdout == "[]\n"
+
+
 def test_import_leaves_cli_unloaded():
     proc = _python("-c", "import sys, sqtile; print('sqtile.cli' in sys.modules)")
     assert proc.stdout == "False\n"
@@ -975,6 +1020,14 @@ def test_cli_render_precision_past_int_digit_limit(fig4_path, capsys):
             Decimal(1).scaleb(-5000), rounding=ROUND_HALF_EVEN
         )
     assert view_box[2] == str(want)
+
+
+def test_cli_render_precision_takes_ascii_digits_only(fig4_path, capsys):
+    # Arabic-Indic one: int() reads it as 1, the README's digits do not
+    for precision in ("\u0661", "-1", "+1", " 1", "1_0", "x"):
+        code, out = run(capsys, "render", fig4_path, "--precision", precision, "--format", "json")
+        assert (code, json.loads(out)["error"]) == (2, "input")
+    assert run(capsys, "render", fig4_path, "--precision", "1", "--format", "json")[0] == 0
 
 
 def test_cli_render_precision_is_bounded(fig4_path, capsys):
