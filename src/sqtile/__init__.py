@@ -20,7 +20,6 @@ from .exactnum import (
     SQRT2,
     Generator,
     GeneratorTable,
-    Interval,
     LinExpr,
     Sqrt2Num,
     format_expr,

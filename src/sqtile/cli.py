@@ -215,6 +215,11 @@ def render_svg(doc: dict, precision: int = 6) -> str:
     return _svg(build_tiling(doc)[1], precision)
 
 
+def _midpoint(e) -> Fraction:
+    lo, hi = e.eval_interval()
+    return (lo + hi) / 2
+
+
 def _svg(t: Tiling, precision: int) -> str:
     if precision < 0:
         raise ValueError("precision must be nonnegative")
@@ -224,8 +229,7 @@ def _svg(t: Tiling, precision: int) -> str:
     if not report.is_valid:
         raise InvalidTiling(report)
 
-    w_mid = t.outer_w.eval_interval().midpoint
-    h_mid = t.outer_h.eval_interval().midpoint
+    w_mid, h_mid = _midpoint(t.outer_w), _midpoint(t.outer_h)
     fmt = lambda v: _fixed(v, precision)
     stroke = max(w_mid, h_mid) / 200
     lines = [
@@ -236,11 +240,9 @@ def _svg(t: Tiling, precision: int) -> str:
         f'fill="none" stroke="#000" stroke-width="{fmt(stroke)}"/>',
     ]
     for p in t.tiles:
-        x = p.x.eval_interval().midpoint
-        w = p.w.eval_interval().midpoint
-        h = p.h.eval_interval().midpoint
+        x, w, h = _midpoint(p.x), _midpoint(p.w), _midpoint(p.h)
         # SVG y grows downward; flip so (0,0) is the lower-left corner
-        y_svg = h_mid - (p.y.eval_interval().midpoint + h)
+        y_svg = h_mid - (_midpoint(p.y) + h)
         lines.append(
             f'  <rect x="{fmt(x)}" y="{fmt(y_svg)}" width="{fmt(w)}" height="{fmt(h)}" '
             f'fill="none" stroke="#000" stroke-width="{fmt(stroke)}"/>'
@@ -404,7 +406,9 @@ def _cmd_analyze_good(args):
 def _cmd_render(args):
     if not (args.precision.isascii() and args.precision.isdigit()):  # ASCII digits, as in the rationals
         raise DocumentError("--precision must be a nonnegative integer", token=args.precision)
-    svg = _svg(_tiling(args), int(args.precision))
+    digits = args.precision.lstrip("0") or "0"  # int() reads at most 4,300 digits
+    precision = int(digits) if len(digits) <= len(str(MAX_PRECISION)) else MAX_PRECISION + 1
+    svg = _svg(_tiling(args), precision)
     payload = {"svg": svg}
     if args.out:
         _emit(args.out, svg)

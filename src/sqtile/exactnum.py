@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import NoReturn
 
 from .errors import AmbiguousComparison, DocumentError, TableMismatch, clip
@@ -177,30 +177,6 @@ class Sqrt2Num:
 SQRT2 = Sqrt2Num(0, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """A closed rational interval [lo, hi]."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def sign(self) -> int:
-        """-1 or 1 when the interval is separated from 0, else 0."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
-
-
 UNIT_SYMBOL = "1"
 
 
@@ -211,7 +187,8 @@ class Generator:
     Enclosures straddling zero are rejected: sign reasoning would be
     unsound.  A ``sqrtN`` enclosure must contain the root: lo|lo| <= N <=
     hi|hi|, as t|t| increases.  Q-linear independence of the generators
-    (and the unit) is a trusted assumption, never verified.
+    (and the unit) is a trusted assumption, never verified, except for
+    the ``sqrtN`` symbols that ``GeneratorTable`` checks.
     """
 
     symbol: str
@@ -244,7 +221,9 @@ class GeneratorTable:
     """Ordered generator list with the implicit unit generator first.
 
     Index 0 is always the unit (symbol "1", enclosure [1, 1]); user
-    generators follow in declaration order.
+    generators follow in declaration order.  The first ``sqrtN`` that is
+    rational (N = m^2) or a rational multiple of an earlier ``sqrtM``
+    (N*M = r^2, so sqrtN = r/M*sqrtM) is an input error.
     """
 
     __slots__ = ("_generators", "_index", "_brackets")
@@ -256,6 +235,20 @@ class GeneratorTable:
             if g.symbol in seen:
                 raise DocumentError(f"duplicate generator symbol {clip(g.symbol, repr)}")
             seen.add(g.symbol)
+        roots = [(None, 1)]  # (symbol, N) of the unit and each earlier sqrtN
+        for g in gens:
+            if not (root := _ROOT_RE.match(g.symbol)):
+                continue
+            n, s = int(Decimal(root[1])), clip(g.symbol)
+            for sym, k in roots:
+                r = isqrt(n * k)
+                if r * r == n * k:
+                    q = clip(rational_text(Fraction(r, k)))
+                    if sym is None:
+                        raise DocumentError(f"generator {s} is rational: {s} = {q}")
+                    m = clip(sym)
+                    raise DocumentError(f"generator {s} is a rational multiple of {m}: {s} = {q}*{m}")
+            roots.append((g.symbol, n))
         self._generators = gens
         self._index = {g.symbol: i + 1 for i, g in enumerate(gens)}
         self._index[UNIT_SYMBOL] = 0
@@ -411,8 +404,8 @@ class LinExpr:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def eval_interval(self) -> Interval:
-        """Certified enclosure of the real value, exact for constants.
+    def eval_interval(self) -> tuple:
+        """Certified enclosure ``(lo, hi)``, two Fractions, exact for constants.
 
         Both bounds are summed on integers in one pass (a negative
         coefficient swaps the bracket ends), reduced once and cached.
@@ -431,7 +424,7 @@ class LinExpr:
             g, h = gcd(lo_n, lo_d), gcd(hi_n, hi_d)
             b = (lo_n // g, lo_d // g, hi_n // h, hi_d // h)
             object.__setattr__(self, "_enclosure", b)
-        return Interval(Fraction(b[0], b[1]), Fraction(b[2], b[3]))
+        return Fraction(b[0], b[1]), Fraction(b[2], b[3])
 
     def cmp(self, other: "LinExpr") -> int:
         """Exact three-way comparison: LESS, EQUAL or GREATER.
@@ -460,13 +453,15 @@ class LinExpr:
             return GREATER
         if a_hn * b_ld < b_ln * a_hd:
             return LESS
-        sign = (self - other).eval_interval().sign()
-        if sign == 0:
-            raise AmbiguousComparison(
-                f"cannot order {self} against {other}: enclosures overlap; "
-                "declare tighter generator enclosures"
-            )
-        return sign
+        lo, hi = (self - other).eval_interval()
+        if lo > 0:
+            return GREATER
+        if hi < 0:
+            return LESS
+        raise AmbiguousComparison(
+            f"cannot order {self} against {other}: enclosures overlap; "
+            "declare tighter generator enclosures"
+        )
 
     def __str__(self):
         return format_expr(self)

@@ -76,7 +76,7 @@ def pick_cut(rng, side: LinExpr) -> LinExpr:
     """
     lam = Fraction(rng.randint(1, 7), 8)
     if rng.random() < 0.5:
-        lo = side.eval_interval().lo
+        lo = side.eval_interval()[0]
         r = Fraction((lo * lam * 64).__floor__(), 64)
         if 0 < r < lo:
             return LinExpr.constant(side.table, r)

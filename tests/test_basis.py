@@ -161,10 +161,10 @@ def _random_lengths(rng, table, count):
             },
         )
         # shift by a constant to certify positivity
-        lo = e.eval_interval().lo
+        lo = e.eval_interval()[0]
         if lo <= 0:
             e = e + LinExpr.constant(table, 1 - lo)
-        if e.eval_interval().sign() > 0:
+        if e.eval_interval()[0] > 0:
             out.append(e)
     return out
 

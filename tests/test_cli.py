@@ -631,6 +631,21 @@ def test_cli_root_brackets_must_contain_the_root(tmp_path, capsys):
     assert run(capsys, "decide", "--width", "1", "--height", "1*sqrt2", "--gen", "sqrt2=[1,2]")[0] == 1
 
 
+def test_cli_provably_dependent_roots_exit_2(tmp_path, capsys):
+    # a square with side sqrt8 = 2*sqrt2, and sqrt4 = 2: no verdict may claim "not tilable"
+    sqrt8 = "sqrt8=[28284271247/10000000000,28284271248/10000000000]"
+    multiple = "generator sqrt8 is a rational multiple of sqrt2: sqrt8 = 2*sqrt2"
+    assert _input_error(capsys, "decide", "--width", "1*sqrt8", "--height", "2*sqrt2", "--gen", sqrt8) == multiple
+    assert _input_error(capsys, "decide", "--width", "1*sqrt8", "--height", "1", "--gen", sqrt8) == multiple
+    rational = "generator sqrt4 is rational: sqrt4 = 2"
+    assert _input_error(capsys, "decide", "--width", "1*sqrt4", "--height", "2", "--gen", "sqrt4=[1,3]") == rational
+    path = _write(
+        tmp_path, "dep.tiling", [("sqrt3", "1", "2"), ("sqrt12", "3", "4")], ("1*sqrt12", "1"),
+        [("0", "0", "1*sqrt12", "1")],
+    )
+    assert _input_error(capsys, "validate", path) == "generator sqrt12 is a rational multiple of sqrt3: sqrt12 = 2*sqrt3"
+
+
 def test_cli_verify_refutes_rectangle_tiling(fig4_path, capsys):
     code, out = run(capsys, "verify", fig4_path, "--format", "json")
     assert code == 1
@@ -1013,7 +1028,8 @@ def test_cli_render_precision_past_int_digit_limit(fig4_path, capsys):
     assert code == 0
     view_box = re.search(r'viewBox="0 0 (\S+) (\S+)"', json.loads(out)["svg"])
     assert view_box[1] == "1." + "0" * 5000
-    h = build_tiling(parse_document(Path(fig4_path).read_bytes()))[1].outer_h.eval_interval().midpoint
+    lo, hi = build_tiling(parse_document(Path(fig4_path).read_bytes()))[1].outer_h.eval_interval()
+    h = (lo + hi) / 2
     with localcontext() as ctx:
         ctx.prec = 5100
         want = (Decimal(h.numerator) / Decimal(h.denominator)).quantize(
@@ -1035,6 +1051,11 @@ def test_cli_render_precision_is_bounded(fig4_path, capsys):
     assert code == 2
     assert json.loads(out)["error"] == "input" and len(out.encode()) < 512
     assert run(capsys, "render", fig4_path, "--precision", "10000", "--format", "json")[0] == 0
+    # past the int digit limit: the same report as 10001, and zeros are read as 0
+    assert run(capsys, "render", fig4_path, "--precision", "9" * 5000, "--format", "json") == (code, out)
+    code, out = run(capsys, "render", fig4_path, "--precision", "0" * 5000, "--format", "json")
+    assert (code, out) == run(capsys, "render", fig4_path, "--precision", "0", "--format", "json")
+    assert code == 0
 
 
 @pytest.mark.parametrize("name", sorted(BOUWKAMP_CODES))

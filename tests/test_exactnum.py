@@ -1,8 +1,9 @@
-"""Exact scalars: rationals, Q(sqrt2), linear expressions, intervals."""
+"""Exact scalars: rationals, Q(sqrt2), linear expressions, enclosures."""
 
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 import random
 import re
@@ -21,7 +22,6 @@ from sqtile import (
     DocumentError,
     Generator,
     GeneratorTable,
-    Interval,
     LinExpr,
     Sqrt2Num,
     TableMismatch,
@@ -138,19 +138,6 @@ def test_ordering_consistent_with_sign(s, t):
     assert (s == t) == ((s - t).sign() == 0)
 
 
-# --- intervals ---------------------------------------------------------------
-
-
-def test_interval_basics():
-    i = Interval(Fraction(1), Fraction(2))
-    assert Interval(i.lo + i.lo, i.hi + i.hi) == Interval(Fraction(2), Fraction(4))
-    assert Interval(-2 * i.hi, -2 * i.lo) == Interval(Fraction(-4), Fraction(-2))
-    assert i.sign() == 1 and Interval(-i.hi, -i.lo).sign() == -1
-    assert Interval(Fraction(-1), Fraction(1)).sign() == 0
-    with pytest.raises(ValueError):
-        Interval(Fraction(2), Fraction(1))
-
-
 # --- generators and tables ---------------------------------------------------
 
 
@@ -195,12 +182,53 @@ def test_root_generator_brackets_its_root():
 def test_table_uniqueness_and_lookup(table):
     assert table.symbols == ("1", "sqrt2", "sqrt3")
     assert table.index("sqrt3") == 2
-    assert parse_expr("1", table).eval_interval() == Interval(Fraction(1), Fraction(1))
+    assert parse_expr("1", table).eval_interval() == (Fraction(1), Fraction(1))
     with pytest.raises(DocumentError):
         table.index("sqrt5")
     g = Generator("g", Fraction(1), Fraction(2))
     with pytest.raises(DocumentError):
         GeneratorTable([g, g])
+
+
+def _root(n: int, symbol=None) -> Generator:
+    r = math.isqrt(n)
+    return Generator(symbol or f"sqrt{n}", Fraction(r), Fraction(r + 1))
+
+
+def test_table_rejects_provably_dependent_roots():
+    for roots, message in (
+        ([_root(2), _root(8)], "generator sqrt8 is a rational multiple of sqrt2: sqrt8 = 2*sqrt2"),
+        ([_root(8), _root(2)], "generator sqrt2 is a rational multiple of sqrt8: sqrt2 = 1/2*sqrt8"),
+        ([_root(4)], "generator sqrt4 is rational: sqrt4 = 2"),
+        ([_root(1)], "generator sqrt1 is rational: sqrt1 = 1"),
+        ([_root(2), _root(2, "sqrt02")], "generator sqrt02 is a rational multiple of sqrt2: sqrt02 = 1*sqrt2"),
+        ([_root(3), _root(12)], "generator sqrt12 is a rational multiple of sqrt3: sqrt12 = 2*sqrt3"),
+        # the first hit in table order, past the independent sqrt5
+        ([_root(3), _root(5), _root(9), _root(20)], "generator sqrt9 is rational: sqrt9 = 3"),
+    ):
+        with pytest.raises(DocumentError) as info:
+            GeneratorTable([Generator("g", Fraction(1), Fraction(2))] + roots)
+        assert str(info.value) == message
+    # long symbols and long multiples are clipped, so the report stays short
+    square = (10**300 + 7) ** 2
+    with pytest.raises(DocumentError) as info:
+        GeneratorTable([_root(square)])
+    assert str(info.value).endswith(f"... {len(str(10**300 + 7))} characters")
+    assert len(str(info.value).encode()) < 512
+    with pytest.raises(DocumentError) as info:
+        GeneratorTable([_root(2), _root(2 * 25**300, "sqrt" + "0" * 500 + str(2 * 25**300))])
+    assert str(info.value).endswith(f"... {len(str(5**300))} characters*sqrt2")
+    assert len(str(info.value).encode()) < 512
+
+
+def test_table_accepts_independent_roots():
+    builtin = [Generator(sym, *DEFAULT_ENCLOSURES[sym]) for sym in ("sqrt2", "sqrt3", "sqrt5")]
+    table = GeneratorTable(builtin + [Generator(f"sqrt{n}", *workloads.enclosure(n)) for n in (6, 7, 10, 11, 13)])
+    assert table.symbols[1:] == tuple(f"sqrt{n}" for n in workloads.RADICANDS)
+    long_seven = int("7" * 500)
+    assert len(GeneratorTable(builtin + [_root(long_seven)])) == 5
+    # the 'sqrt' prefix alone does not make a root: these are plain symbols
+    GeneratorTable(builtin + [Generator(s, Fraction(2), Fraction(3)) for s in ("sqrt0", "sqrt2x", "Sqrt4")])
 
 
 # --- linear expressions ------------------------------------------------------
@@ -228,9 +256,9 @@ def test_eval_interval_examples():
     assert lo * lo < 2 < hi * hi  # they really bracket sqrt2
     table = GeneratorTable([Generator("sqrt2", lo, hi)])
     e = parse_expr("2 + 1*sqrt2", table)
-    assert e.eval_interval() == Interval(2 + lo, 2 + hi)
-    assert LinExpr.constant(table, 5).eval_interval() == Interval(Fraction(5), Fraction(5))
-    assert LinExpr.zero(table).eval_interval() == Interval(Fraction(0), Fraction(0))
+    assert e.eval_interval() == (2 + lo, 2 + hi)
+    assert LinExpr.constant(table, 5).eval_interval() == (Fraction(5), Fraction(5))
+    assert LinExpr.zero(table).eval_interval() == (Fraction(0), Fraction(0))
 
 
 def test_lin_cmp_examples():
@@ -278,12 +306,12 @@ wide_exprs = st.builds(lambda a, b, c: LinExpr(WIDE, {0: a, 1: b, 2: c}), small,
 @example(LinExpr(WIDE, {0: 2}), LinExpr(WIDE, {1: 1}))  # touching enclosures
 @example(LinExpr(WIDE, {1: 1}), LinExpr(WIDE, {0: 2}))
 def test_cmp_agrees_with_difference_enclosure(a, b):
-    d = (a - b).eval_interval()
+    lo, hi = (a - b).eval_interval()
     # the second round answers from the enclosures cached by the first
     for _ in range(2):
         if a == b:
             assert a.cmp(b) == EQUAL
-        elif d.lo <= 0 <= d.hi:
+        elif lo <= 0 <= hi:
             with pytest.raises(AmbiguousComparison) as info:
                 a.cmp(b)
             assert str(info.value) == (
@@ -291,7 +319,7 @@ def test_cmp_agrees_with_difference_enclosure(a, b):
                 "declare tighter generator enclosures"
             )
         else:
-            assert a.cmp(b) == d.sign()
+            assert a.cmp(b) == (GREATER if lo > 0 else LESS)
 
 
 # --- the integer enclosure kernel against termwise Fraction arithmetic -------
@@ -299,18 +327,18 @@ def test_cmp_agrees_with_difference_enclosure(a, b):
 
 def _enclosures(table: GeneratorTable) -> list:
     """Each table generator's declared bracket, the unit's [1, 1] first."""
-    return [Interval(Fraction(1), Fraction(1))] + [Interval(g.lo, g.hi) for g in table.generators]
+    return [(Fraction(1), Fraction(1))] + [(g.lo, g.hi) for g in table.generators]
 
 
-def _ref_eval_interval(e: LinExpr) -> Interval:
+def _ref_eval_interval(e: LinExpr) -> tuple:
     """The enclosure as it was computed before the integer kernel: one
     scaled generator interval per term, summed with Fraction arithmetic."""
     lo = hi = Fraction(0)
     brackets = _enclosures(e.table)
     for i, c in e.coeffs.items():
-        g = brackets[i]
-        lo, hi = (lo + c * g.lo, hi + c * g.hi) if c >= 0 else (lo + c * g.hi, hi + c * g.lo)
-    return Interval(lo, hi)
+        g_lo, g_hi = brackets[i]
+        lo, hi = (lo + c * g_lo, hi + c * g_hi) if c >= 0 else (lo + c * g_hi, hi + c * g_lo)
+    return lo, hi
 
 
 def _ref_cmp(a: LinExpr, b: LinExpr) -> int:
@@ -318,13 +346,15 @@ def _ref_cmp(a: LinExpr, b: LinExpr) -> int:
     ``tests/test_validate_reference.py``."""
     if a == b:
         return EQUAL
-    sign = _ref_eval_interval(a - b).sign()
-    if sign == 0:
-        raise AmbiguousComparison(
-            f"cannot order {a} against {b}: enclosures overlap; "
-            "declare tighter generator enclosures"
-        )
-    return sign
+    lo, hi = _ref_eval_interval(a - b)
+    if lo > 0:
+        return GREATER
+    if hi < 0:
+        return LESS
+    raise AmbiguousComparison(
+        f"cannot order {a} against {b}: enclosures overlap; "
+        "declare tighter generator enclosures"
+    )
 
 
 def _negated(lo, hi):
@@ -393,10 +423,10 @@ def test_kernel_matches_termwise_fraction_reference(pair):
                 assert x.cmp(y) == want
         hash(a), hash(b)
     for e in (a, b, a - b):
-        want = _ref_eval_interval(e)
+        want_lo, want_hi = _ref_eval_interval(e)
         got = e.eval_interval()
-        assert got == want and type(got.lo) is type(got.hi) is Fraction
-        assert e._enclosure == (want.lo.numerator, want.lo.denominator, want.hi.numerator, want.hi.denominator)
+        assert got == (want_lo, want_hi) and type(got[0]) is type(got[1]) is Fraction
+        assert e._enclosure == (want_lo.numerator, want_lo.denominator, want_hi.numerator, want_hi.denominator)
 
 
 def _random_expr(rng, table):
@@ -412,7 +442,7 @@ def _random_expr(rng, table):
 
 def test_lin_cmp_never_contradicts_midpoint_evaluation():
     table = tight_table(2, 3, 5)
-    mids = [g.midpoint for g in _enclosures(table)]
+    mids = [(lo + hi) / 2 for lo, hi in _enclosures(table)]
     rng = random.Random(7)
     for _ in range(300):
         e1, e2 = _random_expr(rng, table), _random_expr(rng, table)
@@ -431,9 +461,9 @@ def test_interval_of_sum_contained_in_sum_of_intervals():
     rng = random.Random(11)
     for _ in range(300):
         e1, e2 = _random_expr(rng, table), _random_expr(rng, table)
-        a, b = e1.eval_interval(), e2.eval_interval()
-        inner = (e1 + e2).eval_interval()
-        assert a.lo + b.lo <= inner.lo <= inner.hi <= a.hi + b.hi
+        (a_lo, a_hi), (b_lo, b_hi) = e1.eval_interval(), e2.eval_interval()
+        inner_lo, inner_hi = (e1 + e2).eval_interval()
+        assert a_lo + b_lo <= inner_lo <= inner_hi <= a_hi + b_hi
 
 
 def test_copy_and_pickle_round_trip():

@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 
 from sqtile import (
     EQUAL,
+    GREATER,
+    LESS,
     AmbiguousComparison,
     Generator,
     GeneratorTable,
@@ -42,13 +44,15 @@ from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, tight_t
 def _ref_cmp(a: LinExpr, b: LinExpr) -> int:
     if a == b:
         return EQUAL
-    sign = (a - b).eval_interval().sign()
-    if sign == 0:
-        raise AmbiguousComparison(
-            f"cannot order {a} against {b}: enclosures overlap; "
-            "declare tighter generator enclosures"
-        )
-    return sign
+    lo, hi = (a - b).eval_interval()
+    if lo > 0:
+        return GREATER
+    if hi < 0:
+        return LESS
+    raise AmbiguousComparison(
+        f"cannot order {a} against {b}: enclosures overlap; "
+        "declare tighter generator enclosures"
+    )
 
 
 def _ref_sorted_cuts(values):
