@@ -387,10 +387,16 @@ def _cmd_construct(args):
 
 def _cmd_analyze_good(args):
     table = _expr_table(args)
-    to_num = lambda s: sqrt2_expr_to_num(parse_expr(s, table))
-    w = to_num(args.width)
-    h = to_num(args.height)
-    sides = [to_num(s) for s in args.side]
+
+    def positive(flag, text):
+        value = sqrt2_expr_to_num(parse_expr(text, table))
+        if value.sign() <= 0:
+            raise DocumentError(f"{flag} must be positive, got {clip(text)}")
+        return value
+
+    w = positive("--width", args.width)
+    h = positive("--height", args.height)
+    sides = [positive("--side", s) for s in args.side]
     analysis = analyze_good_squares(sides, w, h)
     report = analysis.as_dict()
     payload = {"analysis": report}

@@ -10,12 +10,11 @@ the first checkable failure in a fixed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .basis import extract_basis
-from .exactnum import LinExpr, rational_text
+from .exactnum import LinExpr, Value, rational_text
 from .hamel import _y_area_sums, y_area
 from .tiling import Tiling, is_square, validate
 
@@ -32,19 +31,19 @@ __all__ = [
 DEFAULT_CERTIFICATE_Y = Fraction(-1)
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(Value):
     """A negative y witnessing impossibility.
 
     The outer rectangle's basis-relative area at y is exactly y (negative),
     while every square's is (a + b*y)^2 >= 0.
     """
 
-    y: Fraction
+    __slots__ = ("y",)
 
-    def __post_init__(self):
-        if self.y >= 0:
-            raise ValueError(f"certificate y must be negative, got {rational_text(self.y)}")
+    def __init__(self, y: Fraction):
+        if y >= 0:
+            raise ValueError(f"certificate y must be negative, got {rational_text(y)}")
+        super().__init__(y)
 
     @property
     def statement(self) -> str:
@@ -61,13 +60,13 @@ class Certificate:
         return {"y": y, "outer_y_area": y, "statement": self.statement}
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(Value):
     """Either Tilable with the side ratio, or NotTilable with a certificate."""
 
-    tilable: bool
-    ratio: Fraction | None = None
-    certificate: Certificate | None = None
+    __slots__ = ("tilable", "ratio", "certificate")
+
+    def __init__(self, tilable: bool, ratio: Fraction | None = None, certificate: Certificate | None = None):
+        super().__init__(tilable, ratio, certificate)
 
     def as_dict(self) -> dict:
         if self.tilable:
@@ -112,12 +111,10 @@ class RefutationKind(Enum):
     ADDITIVITY_VIOLATED = "additivity_violated"
 
 
-@dataclass(frozen=True, slots=True)
-class Refutation:
+class Refutation(Value):
     """Why a claimed square tiling fails, with a re-checkable witness."""
 
-    kind: RefutationKind
-    witness: dict
+    __slots__ = ("kind", "witness")
 
     def as_dict(self) -> dict:
         return {"kind": self.kind.value, "witness": self.witness}

@@ -22,11 +22,9 @@ term's first fault, with its column and token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import NoReturn
 
 from .errors import AmbiguousComparison, DocumentError, TableMismatch, clip
 
@@ -76,7 +74,43 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational, got {type(value).__name__}")
 
 
-class Sqrt2Num:
+class Value:
+    """Base of the immutable values: their ``__slots__``, in order, are
+    their fields, filled once by the constructor.  Equality (same type),
+    hashing and ``repr`` go by field.  Copy and pickle rebuild through the
+    constructor, as the default slot restore writes through __setattr__."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Sqrt2Num(Value):
     """An element a + b*sqrt(2) of Q(sqrt2), exact in both components.
 
     The representation is unique (sqrt2 is irrational), so equality is
@@ -88,16 +122,7 @@ class Sqrt2Num:
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sqrt2Num is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, since the
-        # default slot restore would write through __setattr__
-        return Sqrt2Num, (self.a, self.b)
+        super().__init__(_as_fraction(a), _as_fraction(b))
 
     def conj(self) -> "Sqrt2Num":
         """The conjugate a - b*sqrt(2)."""
@@ -180,8 +205,7 @@ SQRT2 = Sqrt2Num(0, 1)
 UNIT_SYMBOL = "1"
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
+class Generator(Value):
     """A declared real generator with a certified enclosure lo <= value <= hi.
 
     Enclosures straddling zero are rejected: sign reasoning would be
@@ -191,30 +215,25 @@ class Generator:
     the ``sqrtN`` symbols that ``GeneratorTable`` checks.
     """
 
-    symbol: str
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("symbol", "lo", "hi")
 
-    def __post_init__(self):
-        if not self.symbol or not _IDENT_RE.match(self.symbol):
-            raise DocumentError("generator symbol must be an identifier", token=self.symbol)
-        if self.symbol == UNIT_SYMBOL:
+    def __init__(self, symbol: str, lo: Fraction, hi: Fraction):
+        if not symbol or not _IDENT_RE.match(symbol):
+            raise DocumentError("generator symbol must be an identifier", token=symbol)
+        if symbol == UNIT_SYMBOL:
             raise DocumentError("the unit symbol '1' is implicit and cannot be declared")
-        if not self.lo < self.hi:
-            raise DocumentError(
-                f"generator {clip(self.symbol)}: enclosure needs lo < hi, got [{self.lo}, {self.hi}]"
-            )
-        if self.lo < 0 < self.hi:
-            raise DocumentError(
-                f"generator {clip(self.symbol)}: enclosure [{self.lo}, {self.hi}] contains zero"
-            )
-        root = _ROOT_RE.match(self.symbol)
+        if not lo < hi:
+            raise DocumentError(f"generator {clip(symbol)}: enclosure needs lo < hi, got [{lo}, {hi}]")
+        if lo < 0 < hi:
+            raise DocumentError(f"generator {clip(symbol)}: enclosure [{lo}, {hi}] contains zero")
+        root = _ROOT_RE.match(symbol)
         # Decimal reads N at any length; int(str) stops at 4,300 digits
-        if root and not self.lo * abs(self.lo) <= int(Decimal(root[1])) <= self.hi * abs(self.hi):
+        if root and not lo * abs(lo) <= int(Decimal(root[1])) <= hi * abs(hi):
             raise DocumentError(
-                f"generator {clip(self.symbol)}: enclosure [{rational_text(self.lo)}, "
-                f"{rational_text(self.hi)}] does not contain the square root of {clip(root[1])}"
+                f"generator {clip(symbol)}: enclosure [{rational_text(lo)}, "
+                f"{rational_text(hi)}] does not contain the square root of {clip(root[1])}"
             )
+        super().__init__(symbol, lo, hi)
 
 
 class GeneratorTable:
@@ -288,7 +307,7 @@ class GeneratorTable:
         return f"GeneratorTable({list(self._generators)!r})"
 
 
-class LinExpr:
+class LinExpr(Value):
     """An exact Q-linear combination of table generators plus the unit.
 
     Stored sparsely as (generator index, nonzero coefficient) pairs;
@@ -311,16 +330,10 @@ class LinExpr:
                     raise ValueError(f"generator index {idx} out of range")
                 if c != 0:
                     items.append((idx, c))
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_items", tuple(items))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_enclosure", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinExpr is immutable")
+        super().__init__(table, tuple(items), None, None)
 
     def __reduce__(self):
-        # as for Sqrt2Num; the copy recomputes its hash and enclosure on use
+        # the copy recomputes its hash and enclosure on use
         return LinExpr, (self.table, self.coeffs)
 
     @classmethod
@@ -400,7 +413,7 @@ class LinExpr:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self._items)
+            h = hash(tuple((i, c.numerator, c.denominator) for i, c in self._items))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -549,7 +562,7 @@ def parse_expr(text: str, table: GeneratorTable) -> LinExpr:
             return LinExpr._trusted(table, tuple(sorted(kv for kv in coeffs.items() if kv[1])))
 
 
-def _raise_parse_error(text: str, table: GeneratorTable, pos: int) -> NoReturn:
+def _raise_parse_error(text: str, table: GeneratorTable, pos: int):
     """Raise the error of the term at ``pos``, the first faulty one.
 
     First comes a character that can start no token, anywhere from

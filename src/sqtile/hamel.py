@@ -10,13 +10,12 @@ is an identity of rationals, not an approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .basis import Basis
 from .errors import InvalidTiling
-from .exactnum import LinExpr, Sqrt2Num, rational_text
+from .exactnum import LinExpr, Sqrt2Num, Value, rational_text
 from .tiling import Tiling, validate
 
 __all__ = [
@@ -96,19 +95,14 @@ class Contradiction(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True, slots=True)
-class GoodSquareAnalysis:
+class GoodSquareAnalysis(Value):
     """Outcome of testing a claimed decomposition into squares in Q(sqrt2).
 
     A, B, C are the component sums of the claimed square sides; the sum
     of the squares' areas is (A + 2B) + 2C*sqrt2.
     """
 
-    A: Fraction
-    B: Fraction
-    C: Fraction
-    area_identity_holds: bool
-    contradiction: Contradiction
+    __slots__ = ("A", "B", "C", "area_identity_holds", "contradiction")
 
     def as_dict(self) -> dict:
         return {

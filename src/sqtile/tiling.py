@@ -14,9 +14,7 @@ certified interval comparison; floating point is never consulted.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-
-from .exactnum import GeneratorTable, LinExpr
+from .exactnum import GeneratorTable, LinExpr, Value
 
 __all__ = [
     "Placement",
@@ -28,14 +26,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Placement:
+class Placement(Value):
     """An axis-aligned tile: lower-left corner (x, y), sides w x h."""
 
-    x: LinExpr
-    y: LinExpr
-    w: LinExpr
-    h: LinExpr
+    __slots__ = ("x", "y", "w", "h")
 
     @property
     def right(self) -> LinExpr:
@@ -46,25 +40,22 @@ class Placement:
         return self.y + self.h
 
 
-@dataclass(frozen=True, slots=True)
-class Tiling:
+class Tiling(Value):
     """An outer rectangle with a nonempty list of tile placements."""
 
-    outer_w: LinExpr
-    outer_h: LinExpr
-    tiles: tuple
-    table: GeneratorTable
+    __slots__ = ("outer_w", "outer_h", "tiles", "table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tiles", tuple(self.tiles))
-        if not self.tiles:
+    def __init__(self, outer_w: LinExpr, outer_h: LinExpr, tiles, table: GeneratorTable):
+        tiles = tuple(tiles)
+        if not tiles:
             raise ValueError("a tiling needs at least one tile")
-        exprs = [self.outer_w, self.outer_h]
-        for t in self.tiles:
+        exprs = [outer_w, outer_h]
+        for t in tiles:
             exprs += [t.x, t.y, t.w, t.h]
         for e in exprs:
-            if e.table != self.table:
+            if e.table != table:
                 raise ValueError("all expressions must use the tiling's generator table")
+        super().__init__(outer_w, outer_h, tiles, table)
 
     def side_lengths(self) -> list:
         """Outer sides then every tile's w, h, in tile order."""
@@ -74,14 +65,13 @@ class Tiling:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class Failure:
-    """One validation failure: a kind, the tiles involved, and a witness."""
+class Failure(Value):
+    """One validation failure: a kind, the tiles involved, a grid cell and a witness."""
 
-    kind: str  # overlap | gap | out_of_bounds | nonpositive_side
-    tiles: tuple = ()
-    cell: tuple | None = None
-    witness: dict = field(default_factory=dict)
+    __slots__ = ("kind", "tiles", "cell", "witness")  # kind: overlap | gap | out_of_bounds | nonpositive_side
+
+    def __init__(self, kind: str, tiles: tuple = (), cell: tuple | None = None, witness: dict | None = None):
+        super().__init__(kind, tiles, cell, {} if witness is None else witness)
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind, "tiles": list(self.tiles)}
@@ -92,9 +82,8 @@ class Failure:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
-    failures: tuple
+class ValidationReport(Value):
+    __slots__ = ("failures",)
 
     @property
     def verdict(self) -> str:

@@ -781,6 +781,26 @@ def test_cli_analyze_good(capsys):
     assert json.loads(out)["analysis"]["contradiction"] == "area_mismatch"
 
 
+def test_cli_analyze_good_refuses_nonpositive_sides(capsys):
+    """A width, height or side that is not positive is an input error, as
+    in decide; the first one in --width, --height, --side order is named."""
+    cases = [
+        (["--width", "-1", "--height", "-1", "--side", "1"], "--width must be positive, got -1"),
+        (["--width", "1", "--height", "1", "--side", "-1"], "--side must be positive, got -1"),
+        (["--width", "0", "--height", "5", "--side", "0"], "--width must be positive, got 0"),
+        (["--width", "1", "--height", "0", "--side", "1"], "--height must be positive, got 0"),
+        (["--width", "1", "--height", "1", "--side", "1", "--side", "1 - 1*sqrt2"],
+         "--side must be positive, got 1 - 1*sqrt2"),
+    ]
+    for argv, message in cases:
+        code, out = run(capsys, "analyze-good", *argv)
+        assert (code, out) == (2, f"error: {message}\n")
+    code, out = run(capsys, "analyze-good", "--width", "1", "--height", "1", "--side", "-1 + 1*sqrt2")
+    assert code == 1 and "contradiction: area_mismatch" in out
+    code, out = run(capsys, "analyze-good", "--width", "1", "--height", "1", "--side", "1", "--side", "-" + "7" * 3000)
+    assert code == 2 and out.startswith("error: --side must be positive, got -777") and len(out) < 200
+
+
 def test_cli_gen_flag_validation(capsys):
     assert run(capsys, "decide", "--width", "1*g", "--height", "1", "--gen", "g=1,2")[0] == 2
     assert run(capsys, "decide", "--width", "1*g", "--height", "1", "--gen", "g=[1]")[0] == 2
@@ -959,7 +979,9 @@ def test_cli_closed_stdout_exits_with_the_command_code():
 
 
 def test_cli_import_leaves_argparse_and_gettext_unloaded():
-    proc = _python("-c", "import sys, sqtile.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    """``-S`` skips site hooks, which may load ``typing`` on their own."""
+    unused = "{'argparse', 'gettext', 'dataclasses', 'inspect', 'typing'}"
+    proc = _python("-S", "-c", f"import sys, sqtile.cli; print(sorted({unused} & set(sys.modules)))")
     assert proc.stdout == "[]\n"
 
 

@@ -19,22 +19,34 @@ from sqtile import (
     GREATER,
     LESS,
     AmbiguousComparison,
+    Certificate,
     DocumentError,
+    Failure,
     Generator,
     GeneratorTable,
+    GoodSquareAnalysis,
     LinExpr,
+    Placement,
+    Refutation,
     Sqrt2Num,
     TableMismatch,
+    Tiling,
+    ValidationReport,
+    Verdict,
+    analyze_good_squares,
+    decide,
     format_expr,
     parse_expr,
     parse_rational,
+    refute_square_tiling,
     sqrt2_expr_to_num,
+    validate,
 )
 
 from sqtile.cli import DEFAULT_ENCLOSURES
 from sqtile.exactnum import rational_text
 
-from conftest import tight_enclosure, tight_table, workloads
+from conftest import bouwkamp_tiling, tight_enclosure, tight_table, workloads
 
 getcontext().prec = 60
 SQRT2_DECIMAL = Decimal(2).sqrt()
@@ -466,10 +478,46 @@ def test_interval_of_sum_contained_in_sum_of_intervals():
         assert a_lo + b_lo <= inner_lo <= inner_hi <= a_hi + b_hi
 
 
+def _records(table):
+    """One value of each record type, from calls where one is cheap."""
+    t = bouwkamp_tiling(workloads.MORON_CODE, table, x_unit=parse_expr("1*sqrt2", table))
+    one, sqrt2 = LinExpr.constant(table, 1), parse_expr("1*sqrt2", table)
+    report = validate(Tiling(t.outer_w, t.outer_h, t.tiles[1:], table))
+    return [
+        Generator("g", Fraction(1, 2), Fraction(5, 2)),
+        t.tiles[0],
+        t,
+        report.failures[0],
+        report,
+        decide(one, sqrt2).certificate,
+        decide(one, sqrt2),
+        decide(one, one * 2),
+        refute_square_tiling(t),
+        analyze_good_squares([Sqrt2Num(1, 1)], Sqrt2Num(1), Sqrt2Num(1, 1)),
+    ]
+
+
 def test_copy_and_pickle_round_trip():
     table = tight_table(2, 3, 5)
     rng = random.Random(19)
     round_trips = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
+    records = _records(table)
+    assert repr(records[0]) == "Generator(symbol='g', lo=Fraction(1, 2), hi=Fraction(5, 2))"
+    assert {type(v) for v in records} == {
+        Generator, Placement, Tiling, Failure, ValidationReport, Certificate, Verdict, Refutation, GoodSquareAnalysis
+    }
+    assert Certificate(Fraction(-1)) != ValidationReport(Fraction(-1))  # equal fields, other type
+    for v in records:
+        for trip in round_trips:
+            c = trip(v)
+            assert type(c) is type(v) and c == v and repr(c) == repr(v)
+            if not isinstance(v, (Failure, ValidationReport, Refutation)):  # a dict witness, here or in a failure
+                assert hash(c) == hash(v)
+            for name in type(v).__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(c, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(c, name)
     for _ in range(20):
         e, other = _random_expr(rng, table), _random_expr(rng, table)
         s = Sqrt2Num(Fraction(rng.randint(-30, 30), rng.randint(1, 12)), rng.randint(-30, 30))
@@ -484,6 +532,10 @@ def test_copy_and_pickle_round_trip():
                 c._hash = 0
             with pytest.raises(AttributeError):
                 d.a = 0
+            with pytest.raises(AttributeError):
+                del c._hash
+            with pytest.raises(AttributeError):
+                del d.a
 
 
 # --- grammar -----------------------------------------------------------------
