@@ -21,39 +21,47 @@ integer relation R with R_gen + sum_k R_coord[k] * element_k = 0, whose
 generator part is positive at its own pivot and 0 at the pivot of every
 row selected before it.  One forward pass over the rows in selection
 order zeroes every pivot of V; after each step V and d are divided by
-their gcd.  x is in the span exactly when V_gen ends all zero, and then
-its coordinates are V_coord / d.  Values become Fractions only where
-they leave the module, in ``input_coords`` and ``coords``.
+their gcd.  V starts as x's own stored form: its integer numerators
+over its one denominator, with a zero coordinate part.  x is in the span
+exactly when V_gen ends all zero, and then its coordinates are
+V_coord / d.  Values become Fractions only where they leave the module,
+in ``input_coords`` and ``coords``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 
 from .errors import NotInSpan
-from .exactnum import LinExpr
+from .exactnum import LinExpr, Value
 
 __all__ = ["Basis", "extract_basis"]
 
 
-class Basis:
+class Basis(Value):
     """Selected elements plus an exact coordinate solver.
 
     ``elements[0]`` is s0 and, in the incommensurable case, ``elements[1]``
     is t0.  ``coords`` solves for the unique representation of any length
     in the span; ``input_coords`` holds the precomputed coordinates of
-    every extraction input, aligned with ``inputs``.
+    every extraction input, aligned with ``inputs``.  Two bases are equal
+    only when they are the same object.
     """
 
+    __slots__ = ("elements", "_rows", "inputs", "input_coords", "has_t0", "_known")
+
     def __init__(self, elements, rows, inputs, input_coords, has_t0):
-        self.elements = tuple(elements)
-        self._rows = tuple(rows)
-        self.inputs = tuple(inputs)
-        self.input_coords = tuple(tuple(v) for v in input_coords)
-        self.has_t0 = has_t0
-        self._known = dict(zip(self.inputs, self.input_coords))
+        inputs = tuple(inputs)
+        input_coords = tuple(tuple(v) for v in input_coords)
+        known = dict(zip(inputs, input_coords))
+        super().__init__(tuple(elements), tuple(rows), inputs, input_coords, has_t0, known)
+
+    def __reduce__(self):
+        return Basis, self._fields()[:-1]  # _known is rebuilt from the inputs
+
+    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
     @property
     def rank(self) -> int:
@@ -94,9 +102,10 @@ def _reduce(rows, p: LinExpr, width: int):
     replaces V by ``R[pivot] * V - f * R`` and d by ``R[pivot] * d``,
     which keeps the invariant and zeroes the pivot.
     """
-    coeffs = p.coeff_vector()
-    d = lcm(*(c.denominator for c in coeffs))
-    vector = [c.numerator * (d // c.denominator) for c in coeffs] + [0] * width
+    d = p._den
+    vector = [0] * (len(p.table) + width)
+    for i, v in p._nums:
+        vector[i] = v
     for pivot, row, r in rows:
         f = vector[pivot]
         if f:

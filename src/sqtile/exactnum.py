@@ -2,21 +2,25 @@
 rational-linear expressions over declared generators, and certified
 interval comparison.
 
-Rationals are stdlib ``fractions.Fraction`` (arbitrary precision, always
-canonical).  Everything built on top of them is exact; floating point
-never enters any decision.
+Rationals at the API are stdlib ``fractions.Fraction`` (arbitrary
+precision, always canonical).  Everything is exact; floating point never
+enters any decision.
 
-Enclosures are computed on integers: each bracket is held as
+Inside the module the arithmetic is on integers.  A ``LinExpr`` holds one
+positive denominator and integer numerators, reduced so that their gcd
+with the denominator is 1; that form is canonical, so equality, hashing
+and the equality test of ``cmp`` compare ints, and a sum costs one gcd of
+the two denominators.  Each generator bracket is held as
 ``(lo_num, lo_den, hi_num, hi_den)`` and each expression caches its two
 reduced bounds in that form, so ``LinExpr.cmp`` orders disjoint pairs by
-cross-multiplication.  The integers stay in this module; every value it
-returns is a ``Fraction``, the one termwise ``Fraction`` arithmetic gives.
+cross-multiplication.  Every value the module returns is a ``Fraction``,
+the one termwise ``Fraction`` arithmetic gives.
 
-``parse_expr`` reads the whole grammar with one term regex, one match
-and one ``Fraction`` per term, and sums only a repeated symbol.  A faulty
-term goes to one error routine, which reports what a tokenize-then-parse
-reading would: a character that starts no token, an empty text, or the
-term's first fault, with its column and token.
+``parse_expr`` reads the whole grammar with one term regex and one match
+per term, puts every term over one common denominator and reduces once.
+A faulty term goes to one error routine, which reports what a
+tokenize-then-parse reading would: a character that starts no token, an
+empty text, or the term's first fault, with its column and token.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import AmbiguousComparison, DocumentError, TableMismatch, clip
 
@@ -236,13 +240,14 @@ class Generator(Value):
         super().__init__(symbol, lo, hi)
 
 
-class GeneratorTable:
+class GeneratorTable(Value):
     """Ordered generator list with the implicit unit generator first.
 
     Index 0 is always the unit (symbol "1", enclosure [1, 1]); user
     generators follow in declaration order.  The first ``sqrtN`` that is
     rational (N = m^2) or a rational multiple of an earlier ``sqrtM``
-    (N*M = r^2, so sqrtN = r/M*sqrtM) is an input error.
+    (N*M = r^2, so sqrtN = r/M*sqrtM) is an input error.  Equality,
+    hashing, ``repr``, copy and pickle go by the generators alone.
     """
 
     __slots__ = ("_generators", "_index", "_brackets")
@@ -268,12 +273,15 @@ class GeneratorTable:
                     m = clip(sym)
                     raise DocumentError(f"generator {s} is a rational multiple of {m}: {s} = {q}*{m}")
             roots.append((g.symbol, n))
-        self._generators = gens
-        self._index = {g.symbol: i + 1 for i, g in enumerate(gens)}
-        self._index[UNIT_SYMBOL] = 0
-        self._brackets = ((1, 1, 1, 1),) + tuple(
+        index = {g.symbol: i + 1 for i, g in enumerate(gens)}
+        index[UNIT_SYMBOL] = 0
+        brackets = ((1, 1, 1, 1),) + tuple(
             (g.lo.numerator, g.lo.denominator, g.hi.numerator, g.hi.denominator) for g in gens
         )
+        super().__init__(gens, index, brackets)
+
+    def __reduce__(self):
+        return GeneratorTable, (self._generators,)
 
     @property
     def generators(self) -> tuple:
@@ -310,15 +318,17 @@ class GeneratorTable:
 class LinExpr(Value):
     """An exact Q-linear combination of table generators plus the unit.
 
-    Stored sparsely as (generator index, nonzero coefficient) pairs;
-    equality and hashing are coefficient-map (plus table) equality.
-    Arithmetic is exact, with the expression as left operand (``e * 2``,
-    ``e - 1``), and only mixes expressions over the same table.  The hash
-    and the enclosure are computed on first use and kept in write-once
-    slots; the value itself never changes.
+    Stored as one positive denominator ``_den`` and index-sorted integer
+    numerators ``_nums = ((index, num), ...)``, none of them 0, reduced so
+    that ``gcd(_den, *nums) == 1``.  That form is canonical: equality
+    (with the table) and hashing compare ints.  Arithmetic is exact, with
+    the expression as left operand (``e * 2``, ``e - 1``), and only mixes
+    expressions over the same table.  The hash and the enclosure are
+    computed on first use and kept in write-once slots; the value itself
+    never changes.
     """
 
-    __slots__ = ("table", "_items", "_hash", "_enclosure")
+    __slots__ = ("table", "_den", "_nums", "_hash", "_enclosure")
 
     def __init__(self, table: GeneratorTable, coeffs=None):
         items = []
@@ -330,22 +340,42 @@ class LinExpr(Value):
                     raise ValueError(f"generator index {idx} out of range")
                 if c != 0:
                     items.append((idx, c))
-        super().__init__(table, tuple(items), None, None)
+        # each Fraction is reduced, so over the lcm of their denominators
+        # the numerators share no factor with it
+        den = lcm(*(c.denominator for _, c in items))
+        nums = tuple((i, c.numerator * (den // c.denominator)) for i, c in items)
+        super().__init__(table, den, nums, None, None)
 
     def __reduce__(self):
         # the copy recomputes its hash and enclosure on use
         return LinExpr, (self.table, self.coeffs)
 
     @classmethod
-    def _trusted(cls, table: GeneratorTable, items: tuple) -> "LinExpr":
-        """An expression from ``items`` that are already index-sorted
-        ``(index, nonzero Fraction)`` pairs over ``table``, unchecked."""
+    def _trusted(cls, table: GeneratorTable, den: int, nums: tuple) -> "LinExpr":
+        """An expression from ``den`` and ``nums`` that are already in the
+        stored, reduced form over ``table``, unchecked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_enclosure", None)
+        _set_table(self, table)
+        _set_den(self, den)
+        _set_nums(self, nums)
+        _set_hash(self, None)
+        _set_enclosure(self, None)
         return self
+
+    @classmethod
+    def _reduced(cls, table: GeneratorTable, den: int, items, bound: int) -> "LinExpr":
+        """The expression ``items / den`` from a positive ``den`` and
+        index-sorted ``(index, num)`` items, zeros allowed.  ``bound`` is
+        a multiple of every common factor of ``den`` and the numerators."""
+        nums = [kv for kv in items if kv[1]]
+        if not nums:
+            return cls._trusted(table, 1, ())
+        if bound != 1:
+            g = gcd(bound, *[v for _, v in nums])
+            if g != 1:
+                den //= g
+                nums = [(i, v // g) for i, v in nums]
+        return cls._trusted(table, den, tuple(nums))
 
     @classmethod
     def constant(cls, table: GeneratorTable, value) -> "LinExpr":
@@ -357,26 +387,27 @@ class LinExpr(Value):
 
     @property
     def coeffs(self) -> dict:
-        return dict(self._items)
+        d = self._den
+        return {i: Fraction(v, d) for i, v in self._nums}
 
     def coeff_vector(self) -> list:
         """Dense coefficient list aligned with the table."""
         vec = [Fraction(0)] * len(self.table)
-        for i, c in self._items:
+        for i, c in self.coeffs.items():
             vec[i] = c
         return vec
 
     @property
     def is_zero(self) -> bool:
-        return not self._items
+        return not self._nums
 
     def constant_value(self) -> Fraction:
-        if any(i != 0 for i, _ in self._items):
+        if any(i != 0 for i, _ in self._nums):
             raise ValueError(f"{self} is not a constant expression")
-        return self._items[0][1] if self._items else Fraction(0)
+        return Fraction(self._nums[0][1], self._den) if self._nums else Fraction(0)
 
     def _check_table(self, other: "LinExpr"):
-        if self.table is not other.table and self.table != other.table:
+        if self.table != other.table:
             raise TableMismatch("expressions belong to different generator tables")
 
     def __add__(self, other):
@@ -384,11 +415,25 @@ class LinExpr(Value):
             other = LinExpr.constant(self.table, other)
         if not isinstance(other, LinExpr):
             return NotImplemented
-        self._check_table(other)
-        out = dict(self._items)
-        for i, c in other._items:
-            out[i] = out[i] + c if i in out else c
-        return LinExpr._trusted(self.table, tuple(sorted(kv for kv in out.items() if kv[1])))
+        if self.table is not other.table:
+            self._check_table(other)
+        den = self._den
+        if den == other._den:
+            g = den
+            out = dict(self._nums)
+            for i, b in other._nums:
+                out[i] = out[i] + b if i in out else b
+        else:
+            # over the lcm, a common factor of the sum and the
+            # denominator divides g, as for two Fractions
+            g = gcd(den, other._den)
+            s, t = other._den // g, den // g
+            out = {i: a * s for i, a in self._nums}
+            for i, b in other._nums:
+                b *= t
+                out[i] = out[i] + b if i in out else b
+            den *= s
+        return LinExpr._reduced(self.table, den, sorted(out.items()), g)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -398,62 +443,68 @@ class LinExpr(Value):
         return self + (-other)
 
     def __neg__(self):
-        return LinExpr._trusted(self.table, tuple((i, -c) for i, c in self._items))
+        return LinExpr._trusted(self.table, self._den, tuple((i, -v) for i, v in self._nums))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return LinExpr(self.table, {i: c * scalar for i, c in self._items})
+        p, den = scalar.numerator, self._den * scalar.denominator
+        return LinExpr._reduced(self.table, den, [(i, v * p) for i, v in self._nums], den)
 
     def __eq__(self, other):
         if not isinstance(other, LinExpr):
             return NotImplemented
-        return self.table == other.table and self._items == other._items
+        return (
+            self._den == other._den
+            and self._nums == other._nums
+            and (self.table is other.table or self.table == other.table)
+        )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(tuple((i, c.numerator, c.denominator) for i, c in self._items))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self._den, self._nums))
+            _set_hash(self, h)
         return h
 
     def eval_interval(self) -> tuple:
         """Certified enclosure ``(lo, hi)``, two Fractions, exact for constants.
 
-        Both bounds are summed on integers in one pass (a negative
-        coefficient swaps the bracket ends), reduced once and cached.
+        Both bounds are summed over the numerators on integers in one
+        pass (a negative numerator swaps the bracket ends), then divided
+        by the denominator, reduced once and cached.
         """
         b = self._enclosure
         if b is None:
             brackets = self.table._brackets
             lo_n, lo_d, hi_n, hi_d = 0, 1, 0, 1
-            for i, c in self._items:
-                p, q = c.numerator, c.denominator
+            for i, p in self._nums:
                 ln, ld, hn, hd = brackets[i]
                 if p < 0:
                     ln, ld, hn, hd = hn, hd, ln, ld
-                lo_n, lo_d = lo_n * q * ld + p * ln * lo_d, lo_d * q * ld
-                hi_n, hi_d = hi_n * q * hd + p * hn * hi_d, hi_d * q * hd
+                lo_n, lo_d = lo_n * ld + p * ln * lo_d, lo_d * ld
+                hi_n, hi_d = hi_n * hd + p * hn * hi_d, hi_d * hd
+            lo_d *= self._den
+            hi_d *= self._den
             g, h = gcd(lo_n, lo_d), gcd(hi_n, hi_d)
             b = (lo_n // g, lo_d // g, hi_n // h, hi_d // h)
-            object.__setattr__(self, "_enclosure", b)
+            _set_enclosure(self, b)
         return Fraction(b[0], b[1]), Fraction(b[2], b[3])
 
     def cmp(self, other: "LinExpr") -> int:
         """Exact three-way comparison: LESS, EQUAL or GREATER.
 
-        Equal iff the coefficient maps coincide; otherwise the sign of
-        the difference's enclosure decides.  Raises AmbiguousComparison
-        when the enclosure of the difference still contains zero.
+        Equal iff the stored forms coincide; otherwise the sign of the
+        difference's enclosure decides.  Raises AmbiguousComparison when
+        the enclosure of the difference still contains zero.
 
         Disjoint enclosures of the two sides already settle the sign: the
         difference's enclosure lies inside their interval difference.
         Only overlapping pairs build the difference.
         """
-        self._check_table(other)
-        h, k = self._hash, other._hash
-        # two cached hashes that differ already prove the maps differ
-        if (h is None or k is None or h == k) and self._items == other._items:
+        if self.table is not other.table:
+            self._check_table(other)
+        if self._nums == other._nums and self._den == other._den:
             return EQUAL
         if self._enclosure is None:
             self.eval_interval()
@@ -483,12 +534,18 @@ class LinExpr(Value):
         return f"LinExpr({format_expr(self)!r})"
 
 
+# The slots' own setters: they write past Value's guard, at C speed.
+_set_table, _set_den, _set_nums, _set_hash, _set_enclosure = (
+    LinExpr.__dict__[name].__set__ for name in LinExpr.__slots__
+)
+
+
 def sqrt2_expr_to_num(e: LinExpr) -> Sqrt2Num:
     """Convert an expression supported on {1, sqrt2} into a Sqrt2Num."""
     idx = e.table.index("sqrt2") if "sqrt2" in e.table else None
     a = Fraction(0)
     b = Fraction(0)
-    for i, c in e._items:
+    for i, c in e.coeffs.items():
         if i == 0:
             a = c
         elif i == idx:
@@ -521,18 +578,18 @@ _TERM_RE = re.compile(
 )
 # The longest run of whole tokens: the character after it starts none.
 _SCAN_RE = re.compile(rf"(?:\s+|{RATIONAL_PATTERN}|{IDENT_PATTERN}|[+\-*])*")
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def parse_expr(text: str, table: GeneratorTable) -> LinExpr:
     """Parse an expression over ``table`` into a LinExpr.
 
-    Each term costs one match and one Fraction, and only a repeated
-    symbol is summed.  Errors carry the 1-based column and the offending
-    token.
+    Each term costs one match and goes onto one common denominator, on
+    integers; the sum is reduced once at the end.  Errors carry the
+    1-based column and the offending token.
     """
     index = table._index
-    coeffs: dict[int, Fraction] = {}
+    nums: dict[int, int] = {}
+    common = 1  # the denominator of every entry of nums
     pos, end = 0, len(text)
     while True:
         m = _TERM_RE.match(text, pos)
@@ -544,7 +601,7 @@ def parse_expr(text: str, table: GeneratorTable) -> LinExpr:
         if num is None:
             if bare is None:
                 _raise_parse_error(text, table, pos)
-            sym, c = bare, _MINUS_ONE if op == "-" else _ONE
+            sym, p, q = bare, -1 if op == "-" else 1, 1
         else:
             try:
                 p, q = int(num), int(den) if den else 1
@@ -552,14 +609,21 @@ def parse_expr(text: str, table: GeneratorTable) -> LinExpr:
                 q = 0
             if q == 0 or star and sym is None:
                 _raise_parse_error(text, table, pos)
-            c = Fraction(-p if op == "-" else p, q)
+            if op == "-":
+                p = -p
         idx = 0 if sym is None else index.get(sym)
         if idx is None:
             _raise_parse_error(text, table, pos)
-        coeffs[idx] = coeffs[idx] + c if idx in coeffs else c
+        if q != common:
+            if common % q:
+                s = q // gcd(common, q)
+                common *= s
+                nums = {i: v * s for i, v in nums.items()}
+            p *= common // q
+        nums[idx] = nums[idx] + p if idx in nums else p
         pos = m.end()
         if pos == end:
-            return LinExpr._trusted(table, tuple(sorted(kv for kv in coeffs.items() if kv[1])))
+            return LinExpr._reduced(table, common, sorted(nums.items()), common)
 
 
 def _raise_parse_error(text: str, table: GeneratorTable, pos: int):
@@ -606,7 +670,7 @@ def format_expr(e: LinExpr) -> str:
     if e.is_zero:
         return "0"
     parts = []
-    for idx, c in e._items:
+    for idx, c in e.coeffs.items():
         body = rational_text(abs(c))
         if idx != 0:
             body = f"{body}*{e.table.symbols[idx]}"

@@ -53,7 +53,7 @@ class Tiling(Value):
         for t in tiles:
             exprs += [t.x, t.y, t.w, t.h]
         for e in exprs:
-            if e.table != table:
+            if e.table is not table and e.table != table:
                 raise ValueError("all expressions must use the tiling's generator table")
         super().__init__(outer_w, outer_h, tiles, table)
 

@@ -19,6 +19,7 @@ from sqtile import (
     GREATER,
     LESS,
     AmbiguousComparison,
+    Basis,
     Certificate,
     DocumentError,
     Failure,
@@ -35,6 +36,7 @@ from sqtile import (
     Verdict,
     analyze_good_squares,
     decide,
+    extract_basis,
     format_expr,
     parse_expr,
     parse_rational,
@@ -441,6 +443,95 @@ def test_kernel_matches_termwise_fraction_reference(pair):
         assert e._enclosure == (want_lo.numerator, want_lo.denominator, want_hi.numerator, want_hi.denominator)
 
 
+# --- the stored form: one denominator, integer numerators, reduced -----------
+
+
+def _oracle(terms) -> dict:
+    """Termwise Fraction sum of ``(index, p, q)`` terms: the coefficient
+    map with the zeros dropped."""
+    out = {}
+    for i, p, q in terms:
+        out[i] = out.get(i, 0) + Fraction(p, q)
+    return {i: c for i, c in sorted(out.items()) if c}
+
+
+def _expr_text(table: GeneratorTable, terms) -> str:
+    """The terms as written, unreduced: ``p/q*sym``, or a bare symbol for
+    1/1 except as a negative first term, where the grammar has none."""
+    parts = []
+    for i, p, q in terms:
+        body = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+        if i:
+            bare = body == "1" and (parts or p > 0)
+            body = table.symbols[i] if bare else f"{body}*{table.symbols[i]}"
+        sign = "-" if p < 0 else "+"
+        parts.append(("-" if p < 0 else "") + body if not parts else f"{sign} {body}")
+    return " ".join(parts)
+
+
+def _assert_canonical(e: LinExpr):
+    idx = [i for i, _ in e._nums]
+    assert type(e._den) is int and e._den > 0
+    assert all(type(v) is int and v != 0 for _, v in e._nums)
+    assert idx == sorted(set(idx))
+    assert math.gcd(e._den, *(v for _, v in e._nums)) == 1
+
+
+def check_canonical_form(table: GeneratorTable, terms_a, terms_b, scalar: Fraction, k: int):
+    """Parse, add, subtract, negate and scale against the termwise oracle;
+    every result is in the stored form, and equal values share it."""
+    a, b = parse_expr(_expr_text(table, terms_a), table), parse_expr(_expr_text(table, terms_b), table)
+    # the same value spelt with every term scaled by k/k, in reverse order
+    a2 = parse_expr(_expr_text(table, [(i, p * k, q * k) for i, p, q in reversed(terms_a)]), table)
+    neg_b = [(i, -p, q) for i, p, q in terms_b]
+    cases = [
+        (a, _oracle(terms_a)),
+        (a2, _oracle(terms_a)),
+        (b, _oracle(terms_b)),
+        (a + b, _oracle(terms_a + terms_b)),
+        (a - b, _oracle(terms_a + neg_b)),
+        (-b, _oracle(neg_b)),
+        (a * scalar, _oracle([(i, p * scalar.numerator, q * scalar.denominator) for i, p, q in terms_a])),
+    ]
+    for e, want in cases:
+        assert e.coeffs == want
+        _assert_canonical(e)
+        twin = LinExpr(table, want)
+        assert e == twin and hash(e) == hash(twin) and (e._den, e._nums) == (twin._den, twin._nums)
+
+
+def _signed(digits):
+    return st.builds(lambda n, neg: -n if neg else n, digits, st.booleans())
+
+
+@st.composite
+def canonical_cases(draw):
+    table = draw(st.sampled_from(KERNEL_TABLES))
+    long_ints = st.integers(1, 80).flatmap(_digits)
+    shared = draw(st.lists(long_ints, min_size=1, max_size=3))
+    dens = st.one_of(st.sampled_from(shared), long_ints, st.integers(1, 4))
+    nums = st.one_of(_signed(long_ints), st.integers(-3, 3))
+    terms = st.lists(st.tuples(st.integers(0, len(table) - 1), nums, dens), min_size=1, max_size=8)
+    return table, draw(terms), draw(terms), draw(kernel_coeffs), draw(st.integers(1, 10**6))
+
+
+@given(canonical_cases())
+@example((KERNEL_TABLES[0], [(1, 2, 4)], [(1, 1, 2)], Fraction(2), 3))  # 2/4*sqrt2 - 1/2*sqrt2
+@example((KERNEL_TABLES[0], [(0, 1, 3), (0, 1, 6)], [(0, -1, 2)], Fraction(0), 1))  # 1/3 + 1/6 - 1/2
+@example((KERNEL_TABLES[2], [(1, -1, 1), (1, 1, 1)], [(2, 6, 4)], Fraction(-4, 6), 7))  # -1*g + g
+def test_stored_form_matches_termwise_fraction_oracle(case):
+    check_canonical_form(*case)
+
+
+def test_spellings_of_one_value_are_one_form():
+    t0, t2 = KERNEL_TABLES[0], KERNEL_TABLES[2]
+    for table, x, y in ((t0, "2/4*sqrt2", "1/2*sqrt2"), (t0, "1/3 + 1/6", "1/2"), (t2, "1*g - 1*g", "0")):
+        a, b = parse_expr(x, table), parse_expr(y, table)
+        assert a == b and hash(a) == hash(b)
+    third, sixth = LinExpr.constant(t0, Fraction(1, 3)), LinExpr.constant(t0, Fraction(1, 6))
+    assert third + sixth == parse_expr("1/2", t0) and hash(third + sixth) == hash(parse_expr("1/2", t0))
+
+
 def _random_expr(rng, table):
     return LinExpr(
         table,
@@ -536,6 +627,25 @@ def test_copy_and_pickle_round_trip():
                 del c._hash
             with pytest.raises(AttributeError):
                 del d.a
+            assert c.table == table and c.table._brackets == table._brackets
+    # a table compares, hashes and pickles by its generators; a basis by identity
+    lengths = [LinExpr.constant(table, 1), parse_expr("1*sqrt2", table), parse_expr("2 + 3*sqrt2", table)]
+    basis = extract_basis(lengths)
+    for trip in round_trips:
+        t = trip(table)
+        assert type(t) is GeneratorTable and t == table and hash(t) == hash(table) and repr(t) == repr(table)
+        assert (t._index, t._brackets) == (table._index, table._brackets)
+        b = trip(basis)
+        assert type(b) is Basis and b != basis and b == b and repr(b) != repr(basis)
+        assert (b.elements, b.has_t0, b.rank) == (basis.elements, basis.has_t0, basis.rank)
+        assert [b.coords(p) for p in lengths] == [basis.coords(p) for p in lengths]
+    for v in (table, basis):
+        for name in type(v).__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+    assert basis.coords_st(lengths[2]) == (2, 3) and lengths[1].eval_interval()[0] > 1
 
 
 # --- grammar -----------------------------------------------------------------
