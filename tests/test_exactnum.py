@@ -465,7 +465,7 @@ def _expr_text(table: GeneratorTable, terms) -> str:
             bare = body == "1" and (parts or p > 0)
             body = table.symbols[i] if bare else f"{body}*{table.symbols[i]}"
         sign = "-" if p < 0 else "+"
-        parts.append(("-" if p < 0 else "") + body if not parts else f"{sign} {body}")
+        parts.append(f"{sign} {body}" if parts else f"-{body}" if p < 0 else body)
     return " ".join(parts)
 
 
@@ -636,7 +636,7 @@ def test_copy_and_pickle_round_trip():
         assert type(t) is GeneratorTable and t == table and hash(t) == hash(table) and repr(t) == repr(table)
         assert (t._index, t._brackets) == (table._index, table._brackets)
         b = trip(basis)
-        assert type(b) is Basis and b != basis and b == b and repr(b) != repr(basis)
+        assert type(b) is Basis and b != basis and repr(b) != repr(basis)
         assert (b.elements, b.has_t0, b.rank) == (basis.elements, basis.has_t0, basis.rank)
         assert [b.coords(p) for p in lengths] == [basis.coords(p) for p in lengths]
     for v in (table, basis):
