@@ -2,37 +2,40 @@
 
 Scans the lengths in input order and selects ("underlines") each one
 that is not a rational combination of the previously selected ones,
-using exact Gaussian elimination over the generator coordinates.  The
-selected lengths, led by the outer side s0, form a basis in which every
-input length has unique rational coordinates.  This scan is the
+using exact Gauss-Jordan elimination over the generator coordinates.
+The selected lengths, led by the outer side s0, form a basis in which
+every input length has unique rational coordinates.  This scan is the
 package's one commensurability test: the outer side t0 is selected
 exactly when it is not a rational multiple of s0, and otherwise its
-single coordinate is that ratio.
+single coordinate is that ratio.  Each distinct length is reduced once;
+a repeat takes the coordinates of its first occurrence.
 
-The elimination runs on integers.  A length x is reduced as one integer
-vector V with a positive denominator d: V's first part holds generator
-coordinates, its second part coordinates over the selected elements,
-and the invariant is
+The elimination is fraction-free.  A vector's first part holds generator
+coordinates, its second part coordinates over the selected elements.
+Each selected element adds one integer relation row R, with
+R_gen + sum_k R_coord[k] * element_k = 0, and all rows share one pivot
+value ``scale``: R[pivot] == scale for every row, and every row is 0 at
+every other row's pivot.  A length x, stored as integer numerators P
+over one denominator den, reduces in one pass to
 
-    V_gen + sum_k V_coord[k] * element_k = d * x.
+    V = scale * P - sum_j P[pivot_j] * R_j  over  d = scale * den,
 
-Each selected element adds one row that is never changed afterwards: an
-integer relation R with R_gen + sum_k R_coord[k] * element_k = 0, whose
-generator part is positive at its own pivot and 0 at the pivot of every
-row selected before it.  One forward pass over the rows in selection
-order zeroes every pivot of V; after each step V and d are divided by
-their gcd.  V starts as x's own stored form: its integer numerators
-over its one denominator, with a zero coordinate part.  x is in the span
-exactly when V_gen ends all zero, and then its coordinates are
-V_coord / d.  Values become Fractions only where they leave the module,
-in ``input_coords`` and ``coords``.
+which is 0 at every pivot and keeps V_gen + sum_k V_coord[k] *
+element_k = d * x.  x is in the span exactly when V_gen is all zero, and
+then its coordinates are V_coord / d.  Otherwise x is selected: U = V
+with coordinate -d on x is a new relation, its pivot is V's first
+nonzero generator coordinate and r = U[pivot]; each old row becomes
+(r * R - R[pivot] * U) / scale, and r is the new scale.  Every entry is
+then a minor of the relation matrix, so by Sylvester's identity that
+division is exact (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968), and no
+gcd is taken.  Values become Fractions, which reduce them, only where
+they leave the module, in ``input_coords`` and ``coords``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd
 
 from .errors import NotInSpan
 from .exactnum import LinExpr, Value
@@ -50,13 +53,13 @@ class Basis(Value):
     only when they are the same object.
     """
 
-    __slots__ = ("elements", "_rows", "inputs", "input_coords", "has_t0", "_known")
+    __slots__ = ("elements", "_rows", "_scale", "inputs", "input_coords", "has_t0", "_known")
 
-    def __init__(self, elements, rows, inputs, input_coords, has_t0):
+    def __init__(self, elements, rows, scale, inputs, input_coords, has_t0):
         inputs = tuple(inputs)
         input_coords = tuple(tuple(v) for v in input_coords)
         known = dict(zip(inputs, input_coords))
-        super().__init__(tuple(elements), tuple(rows), inputs, input_coords, has_t0, known)
+        super().__init__(tuple(elements), tuple(rows), scale, inputs, input_coords, has_t0, known)
 
     def __reduce__(self):
         return Basis, self._fields()[:-1]  # _known is rebuilt from the inputs
@@ -78,7 +81,7 @@ class Basis(Value):
         if known is not None:
             return known
         n = len(p.table)
-        vector, d = _reduce(self._rows, p, len(self.elements))
+        vector, d = _reduce(self._rows, self._scale, p, len(self.elements))
         if any(vector[:n]):
             raise NotInSpan(f"{p} is not in the span of the basis")
         return tuple(Fraction(v, d) for v in vector[n:])
@@ -93,29 +96,33 @@ class Basis(Value):
         return c[0], c[1] if self.has_t0 else Fraction(0)
 
 
-def _reduce(rows, p: LinExpr, width: int):
-    """Reduce ``p`` against ``rows``; return the integer vector and its
-    denominator, with a coordinate part ``width`` long.
+def _reduce(rows, scale, p: LinExpr, width: int):
+    """Reduce ``p`` against ``rows``; return the integer vector V and its
+    denominator d, with a coordinate part ``width`` long.
 
-    ``rows`` are ``(pivot, R, R[pivot])`` in selection order, as the
-    module docstring states.  Each step with a nonzero ``f = V[pivot]``
-    replaces V by ``R[pivot] * V - f * R`` and d by ``R[pivot] * d``,
-    which keeps the invariant and zeroes the pivot.
+    ``rows`` are ``(pivot, R)`` pairs with the common pivot value
+    ``scale``, as the module docstring states, so one pass
+    V = scale * P - sum_j P[pivot_j] * R_j zeroes every pivot of P.
     """
-    d = p._den
     vector = [0] * (len(p.table) + width)
     for i, v in p._nums:
         vector[i] = v
-    for pivot, row, r in rows:
+    out = [scale * v for v in vector]
+    for pivot, row in rows:
         f = vector[pivot]
         if f:
-            vector = [r * v - f * x for v, x in zip_longest(vector, row, fillvalue=0)]
-            d *= r
-            g = gcd(d, *vector)
-            if g != 1:
-                vector = [v // g for v in vector]
-                d //= g
-    return vector, d
+            out = [v - f * x for v, x in zip(out, row)]
+    return out, scale * p._den
+
+
+def _pivot_on(rows, scale, pivot: int, u: tuple):
+    """Add the relation ``u``, 0 at every old pivot, with pivot ``pivot``;
+    return the new rows and their common pivot value r = ``u[pivot]``.
+    Each old row R becomes (r * R - R[pivot] * u) / scale, exactly.
+    """
+    r = u[pivot]
+    rows = tuple((j, tuple((r * x - row[pivot] * y) // scale for x, y in zip(row + (0,), u))) for j, row in rows)
+    return rows + ((pivot, u),), r
 
 
 def extract_basis(lengths) -> Basis:
@@ -140,30 +147,22 @@ def extract_basis(lengths) -> Basis:
 
     n = len(table)
     elements: list[LinExpr] = []
-    rows: list[tuple] = []
-    input_coords: list[list[Fraction]] = []
-    has_t0 = True
-
+    rows, scale = (), 1
+    seen: dict[LinExpr, list[Fraction]] = {}  # coordinates of each distinct length
     for pos, p in enumerate(lengths):
-        k = len(elements)
-        vector, d = _reduce(rows, p, k)
-        pivot = next((i for i in range(n) if vector[i]), None)
-        if pivot is None:
-            # in the span of the already selected elements
-            if pos == 1:
-                has_t0 = False
-            input_coords.append([Fraction(v, d) for v in vector[n:]])
-            continue
+        if p not in seen:
+            k = len(elements)
+            vector, d = _reduce(rows, scale, p, k)
+            pivot = next((i for i in range(n) if vector[i]), None)
+            if pivot is None:  # in the span of the already selected elements
+                seen[p] = [Fraction(v, d) for v in vector[n:]]
+            else:  # independent: underline p as a new element
+                elements.append(p)
+                rows, scale = _pivot_on(rows, scale, pivot, (*vector, -d))
+                seen[p] = [Fraction(0)] * k + [Fraction(1)]
+        if pos == 1:  # t0 is selected only if it is not s0 or in its span
+            has_t0 = len(elements) == 2
 
-        # independent: underline p as a new element.  V is already 0 at
-        # every earlier pivot, and V with coordinate -d on p is a relation.
-        elements.append(p)
-        row = vector + [-d]
-        if row[pivot] < 0:
-            row = [-v for v in row]
-        rows.append((pivot, row, row[pivot]))
-        input_coords.append([Fraction(0)] * k + [Fraction(1)])
-
-    width = len(elements)
-    coords = [v + [Fraction(0)] * (width - len(v)) for v in input_coords]
-    return Basis(elements, rows, lengths, coords, has_t0)
+    pad = len(elements)
+    coords = [seen[p] + [Fraction(0)] * (pad - len(seen[p])) for p in lengths]
+    return Basis(elements, rows, scale, lengths, coords, has_t0)

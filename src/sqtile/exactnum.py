@@ -29,6 +29,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from types import MappingProxyType
 
 from .errors import AmbiguousComparison, DocumentError, TableMismatch, clip
 
@@ -247,7 +248,8 @@ class GeneratorTable(Value):
     generators follow in declaration order.  The first ``sqrtN`` that is
     rational (N = m^2) or a rational multiple of an earlier ``sqrtM``
     (N*M = r^2, so sqrtN = r/M*sqrtM) is an input error.  Equality,
-    hashing, ``repr``, copy and pickle go by the generators alone.
+    hashing, ``repr``, copy and pickle go by the generators alone; the
+    symbol index is a read-only view.
     """
 
     __slots__ = ("_generators", "_index", "_brackets")
@@ -278,7 +280,7 @@ class GeneratorTable(Value):
         brackets = ((1, 1, 1, 1),) + tuple(
             (g.lo.numerator, g.lo.denominator, g.hi.numerator, g.hi.denominator) for g in gens
         )
-        super().__init__(gens, index, brackets)
+        super().__init__(gens, MappingProxyType(index), brackets)
 
     def __reduce__(self):
         return GeneratorTable, (self._generators,)

@@ -9,18 +9,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sqtile.basis
 from sqtile import (
     AmbiguousComparison,
     Generator,
     GeneratorTable,
     LinExpr,
     NotInSpan,
+    Placement,
+    Tiling,
+    build_tiling,
     decide,
     extract_basis,
+    parse_document,
     parse_expr,
 )
 
-from conftest import combine, tight_enclosure, tight_table
+from conftest import BOUWKAMP_CODES, combine, tight_enclosure, tight_table, workloads
 
 
 @pytest.fixture(scope="module")
@@ -317,8 +322,9 @@ def _big_fraction(draw):
 @st.composite
 def _oracle_case(draw):
     """Lengths over 2-8 generators (the unit included) with 1-64-digit
-    coefficients: free vectors, combinations of earlier lengths, and a t0
-    that may be a rational multiple of s0; plus lengths that are no input."""
+    coefficients: free vectors, combinations and exact repeats of earlier
+    lengths (t0 may repeat s0), and a t0 that may be a rational multiple
+    of s0; plus lengths that are no input, and one that is."""
     table = ORACLE_TABLES[draw(st.integers(2, 8))]
     n = len(table)
     vectors = []
@@ -331,7 +337,10 @@ def _oracle_case(draw):
         return vec
 
     for i in range(draw(st.integers(2, 8))):
-        kind = draw(st.sampled_from(["free", "free", "combination"] + ["multiple"] * (i == 1)))
+        kind = draw(st.sampled_from(["free", "free", "combination", "repeat"] + ["multiple"] * (i == 1)))
+        if kind == "repeat" and vectors:
+            vectors.append(draw(st.sampled_from(vectors)))
+            continue
         if kind == "multiple":
             vec = [draw(_big_fraction()) * a for a in vectors[0]]
         elif kind == "combination" and vectors:
@@ -346,12 +355,11 @@ def _oracle_case(draw):
         vectors.append(p.coeff_vector())
     others = [combination() for _ in range(2)]
     others.append([draw(st.one_of(st.just(Fraction(0)), _big_fraction())) for _ in range(n)])
+    others.append(draw(st.sampled_from(vectors)))
     return [LinExpr(table, dict(enumerate(v))) for v in vectors], [LinExpr(table, dict(enumerate(v))) for v in others]
 
 
-@given(_oracle_case())
-def test_extraction_matches_fraction_elimination_oracle(case):
-    lengths, others = case
+def _assert_matches_oracle(lengths, others):
     basis = extract_basis(lengths)
     elements, coords = _oracle_scan(lengths)
     assert basis.elements == tuple(elements)
@@ -365,3 +373,51 @@ def test_extraction_matches_fraction_elimination_oracle(case):
                 basis.coords(q)
         else:
             assert basis.coords(q) == tuple(want)
+
+
+@given(_oracle_case())
+def test_extraction_matches_fraction_elimination_oracle(case):
+    _assert_matches_oracle(*case)
+
+
+def test_square_tiling_side_lengths_match_oracle():
+    """The side lengths of a claimed square tiling: every tile has
+    w == h, and an outer square repeats s0 as t0."""
+    table = ORACLE_TABLES[3]
+    one, r2, r3 = (LinExpr(table, {i: 1}) for i in range(3))
+    units = (one + r2, r2 * Fraction(1, 3), one + r3)
+    squares, w, h = workloads.bouwkamp_squares(BOUWKAMP_CODES["duijvestijn"])
+    assert w == h
+    u = units[0]
+    for unit in (lambda s: u, lambda s: units[s % 3]):
+        tiles = tuple(Placement(u * x, u * y, unit(s) * s, unit(s) * s) for x, y, s in squares)
+        lengths = Tiling(u * w, u * h, tiles, table).side_lengths()
+        assert lengths[0] == lengths[1] and all(a == b for a, b in zip(lengths[2::2], lengths[3::2]))
+        _assert_matches_oracle(lengths, [lengths[2] + lengths[-1], r3, one])
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_extraction_reduces_each_distinct_length_once(monkeypatch, k):
+    """A columns row over k width generators: one reduction per distinct
+    side length, and at most rank * (rank - 1) / 2 row rebuilds."""
+    doc = workloads.columns(random.Random(k), 13, k, 64)
+    _, tiling = build_tiling(parse_document(doc.data))
+    lengths = tiling.side_lengths()
+    reduced, rebuilt = [], []
+    reduce, pivot_on = sqtile.basis._reduce, sqtile.basis._pivot_on
+
+    def counted_reduce(rows, scale, p, width):
+        reduced.append(p)
+        return reduce(rows, scale, p, width)
+
+    def counted_pivot_on(rows, *args):
+        rebuilt.append(len(rows))
+        return pivot_on(rows, *args)
+
+    monkeypatch.setattr(sqtile.basis, "_reduce", counted_reduce)
+    monkeypatch.setattr(sqtile.basis, "_pivot_on", counted_pivot_on)
+    basis = extract_basis(lengths)
+    assert basis.rank == doc.expect["rank"] == k + 2
+    assert len(set(lengths)) < len(lengths) // 2
+    assert len(reduced) == len(set(reduced)) == len(set(lengths))
+    assert sum(rebuilt) <= basis.rank * (basis.rank - 1) // 2

@@ -639,12 +639,18 @@ def test_copy_and_pickle_round_trip():
         assert type(b) is Basis and b != basis and repr(b) != repr(basis)
         assert (b.elements, b.has_t0, b.rank) == (basis.elements, basis.has_t0, basis.rank)
         assert [b.coords(p) for p in lengths] == [basis.coords(p) for p in lengths]
+        assert all(type(r) is tuple and type(r[1]) is tuple for r in b._rows)
     for v in (table, basis):
         for name in type(v).__slots__ + ("extra",):
             with pytest.raises(AttributeError):
                 setattr(v, name, None)
             with pytest.raises(AttributeError):
                 delattr(v, name)
+    # no private container can be changed in place either
+    assert all(type(r) is tuple and type(r[1]) is tuple for r in basis._rows)
+    with pytest.raises(TypeError):
+        table._index["sqrt2"] = 2
+    assert parse_expr("1*sqrt2", table) == lengths[1]
     assert basis.coords_st(lengths[2]) == (2, 3) and lengths[1].eval_interval()[0] > 1
 
 
