@@ -413,27 +413,29 @@ class LinExpr(Value):
             raise TableMismatch("expressions belong to different generator tables")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LinExpr.constant(self.table, other)
-        if not isinstance(other, LinExpr):
-            return NotImplemented
+        if type(other) is not LinExpr:
+            if isinstance(other, (int, Fraction)):
+                other = LinExpr.constant(self.table, other)
+            elif not isinstance(other, LinExpr):
+                return NotImplemented
         if self.table is not other.table:
             self._check_table(other)
-        den = self._den
-        if den == other._den:
+        den, other_den = self._den, other._den
+        if den == other_den:
             g = den
             out = dict(self._nums)
+            get = out.get
             for i, b in other._nums:
-                out[i] = out[i] + b if i in out else b
+                out[i] = get(i, 0) + b
         else:
             # over the lcm, a common factor of the sum and the
             # denominator divides g, as for two Fractions
-            g = gcd(den, other._den)
-            s, t = other._den // g, den // g
+            g = gcd(den, other_den)
+            s, t = other_den // g, den // g
             out = {i: a * s for i, a in self._nums}
+            get = out.get
             for i, b in other._nums:
-                b *= t
-                out[i] = out[i] + b if i in out else b
+                out[i] = get(i, 0) + b * t
             den *= s
         return LinExpr._reduced(self.table, den, sorted(out.items()), g)
 
@@ -469,12 +471,13 @@ class LinExpr(Value):
             _set_hash(self, h)
         return h
 
-    def eval_interval(self) -> tuple:
-        """Certified enclosure ``(lo, hi)``, two Fractions, exact for constants.
+    def _bounds(self) -> tuple:
+        """The cached enclosure as reduced integers ``(lo_num, lo_den,
+        hi_num, hi_den)``, denominators positive, filled on first use.
 
-        Both bounds are summed over the numerators on integers in one
-        pass (a negative numerator swaps the bracket ends), then divided
-        by the denominator, reduced once and cached.
+        Both bounds are summed over the numerators in one pass (a
+        negative numerator swaps the bracket ends), then divided by the
+        denominator and reduced once.
         """
         b = self._enclosure
         if b is None:
@@ -491,7 +494,12 @@ class LinExpr(Value):
             g, h = gcd(lo_n, lo_d), gcd(hi_n, hi_d)
             b = (lo_n // g, lo_d // g, hi_n // h, hi_d // h)
             _set_enclosure(self, b)
-        return Fraction(b[0], b[1]), Fraction(b[2], b[3])
+        return b
+
+    def eval_interval(self) -> tuple:
+        """Certified enclosure ``(lo, hi)``, two Fractions, exact for constants."""
+        lo_n, lo_d, hi_n, hi_d = self._bounds()
+        return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
 
     def cmp(self, other: "LinExpr") -> int:
         """Exact three-way comparison: LESS, EQUAL or GREATER.
@@ -508,18 +516,15 @@ class LinExpr(Value):
             self._check_table(other)
         if self._nums == other._nums and self._den == other._den:
             return EQUAL
-        if self._enclosure is None:
-            self.eval_interval()
-        if other._enclosure is None:
-            other.eval_interval()
-        a_ln, a_ld, a_hn, a_hd = self._enclosure
-        b_ln, b_ld, b_hn, b_hd = other._enclosure
+        a_ln, a_ld, a_hn, a_hd = self._bounds()
+        b_ln, b_ld, b_hn, b_hd = other._bounds()
         # denominators are positive, so cross-multiplying keeps the order
         if a_ln * b_hd > b_hn * a_ld:
             return GREATER
         if a_hn * b_ld < b_ln * a_hd:
             return LESS
-        lo, hi = (self - other).eval_interval()
+        # the numerators carry the signs of the difference's bounds
+        lo, _, hi, _ = (self - other)._bounds()
         if lo > 0:
             return GREATER
         if hi < 0:

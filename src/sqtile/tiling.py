@@ -1,20 +1,29 @@
 """Rectangle tilings and their exact geometric validation.
 
-The validator sorts the distinct x and y edge values (cuts) once by
-certified comparison, then sweeps the x-cuts left to right on integer
-cut indices.  Between two neighbouring x-cuts lies a slab.  The
-validator accepts exactly when every slab is covered exactly once along
-its whole height and everything stays inside the outer rectangle.  Only
-a failing slab is expanded into its cells of the refined grid (every
-tile edge extended across the rectangle), so failure witnesses are
-refined-grid cells.  All decisions are made by symbolic equality or
-certified interval comparison; floating point is never consulted.
+The validator orders the distinct x and y edge values (cuts) once,
+then checks sides and bounds and sweeps the x-cuts left to right, all
+on integer cut ranks.  The order is certified: cuts are sorted by an
+integer key from their cached lower bounds, and each neighbouring pair
+is confirmed by disjoint enclosures or by certified comparison.  When
+a pair is not confirmed, the checks run by certified comparison and
+the cuts are sorted by it, so an ambiguous input names the pair a
+comparison sort meets first.  Between two
+neighbouring x-cuts lies a slab.  The validator accepts exactly when
+every slab is covered exactly once along its whole height and
+everything stays inside the outer rectangle.  Only a failing slab is
+expanded into its cells of the refined grid (every tile edge extended
+across the rectangle), so failure witnesses are refined-grid cells.
+All decisions are made by symbolic equality or certified interval
+comparison; floating point is never consulted.
 """
 
 from __future__ import annotations
 
 import functools
-from .exactnum import GeneratorTable, LinExpr, Value
+import operator
+
+from .errors import AmbiguousComparison
+from .exactnum import LESS, GeneratorTable, LinExpr, Value
 
 __all__ = [
     "Placement",
@@ -109,17 +118,25 @@ def is_square(p: Placement) -> bool:
     return p.w == p.h
 
 
-def _side_failures(t: Tiling, zero, outer_w, outer_h, edges):
-    """Nonpositive-side and out-of-bounds failures, by certified comparison."""
+def _side_failures(t: Tiling, edges, zero_x, zero_y, outer_w, outer_h, cmp):
+    """Nonpositive-side and out-of-bounds failures, in tile order.
+
+    ``edges`` holds each tile's (x, right, y, top), and ``cmp(a, b)`` is
+    negative, zero or positive as a < b, a == b or a > b: the certified
+    ``LinExpr.cmp`` on cut values, or a subtraction on cut ranks.  A side
+    is positive as its far edge lies past its near edge.
+    """
     failures = []
-    for name, e in (("outer_w", outer_w), ("outer_h", outer_h)):
-        if e.cmp(zero) <= 0:
-            failures.append(Failure("nonpositive_side", witness={"side": name, "value": e}))
+    for name, e, z, value in (
+        ("outer_w", outer_w, zero_x, t.outer_w),
+        ("outer_h", outer_h, zero_y, t.outer_h),
+    ):
+        if cmp(e, z) <= 0:
+            failures.append(Failure("nonpositive_side", witness={"side": name, "value": value}))
     for i, (p, (x, right, y, top)) in enumerate(zip(t.tiles, edges)):
         before = len(failures)
-        # w > 0 as right > x: same difference, and the sort needs these enclosures
         for name, e, hi, lo in (("w", p.w, right, x), ("h", p.h, top, y)):
-            if hi.cmp(lo) <= 0:
+            if cmp(hi, lo) <= 0:
                 failures.append(
                     Failure("nonpositive_side", tiles=(i,), witness={"side": name, "value": e})
                 )
@@ -127,16 +144,56 @@ def _side_failures(t: Tiling, zero, outer_w, outer_h, edges):
         if len(failures) > before:
             continue
         for cond, lo, hi in (
-            ("x >= 0", zero, x),
-            ("y >= 0", zero, y),
+            ("x >= 0", zero_x, x),
+            ("y >= 0", zero_y, y),
             ("right <= outer_w", right, outer_w),
             ("top <= outer_h", top, outer_h),
         ):
-            if hi.cmp(lo) < 0:
+            if cmp(hi, lo) < 0:
                 failures.append(
                     Failure("out_of_bounds", tiles=(i,), witness={"constraint": cond, "x": p.x, "y": p.y})
                 )
     return failures
+
+
+def _certified_order(values):
+    """The indices of the distinct ``values`` in increasing order, or
+    None when that order cannot be certified this way.
+
+    The indices are sorted by an integer key, the cached lower bound
+    scaled by 2**64 and floored.  Each neighbouring pair is then
+    confirmed: by disjoint enclosures, compared by cross-multiplication,
+    or else by ``LinExpr.cmp``.  A pair ``cmp`` answers GREATER (a tie
+    in the key) or cannot order gives None.
+    """
+    bounds = [v._bounds() for v in values]
+    keys = [(lo_n << 64) // lo_d for lo_n, lo_d, _, _ in bounds]
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    for a, b in zip(order, order[1:]):
+        _, _, hi_n, hi_d = bounds[a]
+        lo_n, lo_d, _, _ = bounds[b]
+        if hi_n * lo_d < lo_n * hi_d:
+            continue
+        try:
+            if values[a].cmp(values[b]) != LESS:
+                return None
+        except AmbiguousComparison:
+            return None
+    return order
+
+
+def _order_by_cmp(values):
+    """The indices of ``values`` sorted by ``LinExpr.cmp``, in the order
+    of comparisons that sorting ``values`` themselves makes."""
+    key = functools.cmp_to_key(LinExpr.cmp)
+    return sorted(range(len(values)), key=lambda i: key(values[i]))
+
+
+def _ranks(order):
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return rank
 
 
 def validate(t: Tiling) -> ValidationReport:
@@ -145,11 +202,33 @@ def validate(t: Tiling) -> ValidationReport:
     Geometric failures (gap, overlap, out_of_bounds, nonpositive_side)
     are reported as data.  A certified comparison the enclosures cannot
     settle is not: the first one raises AmbiguousComparison naming the
-    pair (tighten the generator enclosures and retry).  Checks run in a
-    fixed order: sides, then bounds, then the cut sort, then coverage;
-    any side or bounds failure ends the check before the sort.  Every
-    tile's right and top edge is built once, and equal cut values share
-    one object, so each distinct value's enclosure is evaluated once.
+    pair (tighten the generator enclosures and retry).  Failures come in
+    a fixed order: sides, then bounds, then coverage; any side or bounds
+    failure ends the check before coverage.  Every tile's right and top
+    edge is built once, and equal cut values share one index, so each
+    distinct value's enclosure is evaluated once.
+
+    The distinct x and y cut values are ordered first, each axis by
+    ``_certified_order``: one integer sort by lower bound, then one
+    check of each neighbouring pair.  When every neighbour is confirmed
+    LESS, the order is certified, and the side, bounds and coverage
+    checks all run on integer ranks.  The certified order is the one
+    ``LinExpr.cmp`` gives, since an enclosure is the exact range of a
+    linear form over the box of generator brackets:
+
+    * a certified a > b means a > b on the whole box, so lo(a) > lo(b),
+      and the lower-bound order is the true one whenever one can be
+      certified (only a tie in the 64-bit key gives GREATER);
+    * neighbours certified LESS make every pair of cuts certify, by
+      transitivity, so each ``cmp`` of the side and bounds checks would
+      give the rank comparison's answer.
+
+    Otherwise (a tie, or a pair no enclosure settles) the check runs as
+    it did before ranks: the side and bounds checks by ``cmp``, then a
+    ``cmp`` sort of the cuts in first-seen order, which raises on the
+    same pair.  A sort that succeeds has compared every neighbouring
+    pair of its output, so it succeeds exactly when the order can be
+    certified; an ambiguous input never reaches the ranks.
 
     Coverage is one sweep over the x-cuts.  ``net[j]`` counts the active
     tiles (those spanning the current slab) whose y-span starts at y-cut
@@ -165,42 +244,55 @@ def validate(t: Tiling) -> ValidationReport:
     column of owner lists, in tile order, giving the same gap and overlap
     failures, in the same (i, j) order, as a full grid of cells.
 
-    Cost: O(n log n) certified comparisons for the sort, then O(n + ny)
-    integer work and memory for the sweep; a failing slab with c covered
-    cells adds O(ny + c log c).
+    Cost: one integer sort of the cuts and n - 1 neighbour checks, most
+    of them one cross-multiplication (O(n log n) certified comparisons
+    on the fallback), then O(n + ny) integer work and memory for the
+    sweep; a failing slab with c covered cells adds O(ny + c log c).
     """
     zero = LinExpr.zero(t.table)
-    xs = {zero: zero}
-    ys = {zero: zero}
-    outer_w = xs.setdefault(t.outer_w, t.outer_w)
-    outer_h = ys.setdefault(t.outer_h, t.outer_h)
+    xs = {zero: 0}  # cut value -> index, in first-seen order
+    ys = {zero: 0}
+    outer_w = xs.setdefault(t.outer_w, len(xs))
+    outer_h = ys.setdefault(t.outer_h, len(ys))
     edges = []
     for p in t.tiles:
         right, top = p.right, p.top
         edges.append((
-            xs.setdefault(p.x, p.x),
-            xs.setdefault(right, right),
-            ys.setdefault(p.y, p.y),
-            ys.setdefault(top, top),
+            xs.setdefault(p.x, len(xs)),
+            xs.setdefault(right, len(xs)),
+            ys.setdefault(p.y, len(ys)),
+            ys.setdefault(top, len(ys)),
         ))
-    failures = _side_failures(t, zero, outer_w, outer_h, edges)
+    x_vals, y_vals = list(xs), list(ys)
+    x_order = _certified_order(x_vals)
+    y_order = None if x_order is None else _certified_order(y_vals)
+    if y_order is None:
+        edge_vals = [(x_vals[a], x_vals[b], y_vals[c], y_vals[d]) for a, b, c, d in edges]
+        failures = _side_failures(
+            t, edge_vals, zero, zero, x_vals[outer_w], y_vals[outer_h], LinExpr.cmp
+        )
+        if failures:
+            return ValidationReport(tuple(failures))
+        x_order, y_order = _order_by_cmp(x_vals), _order_by_cmp(y_vals)
+    x_rank, y_rank = _ranks(x_order), _ranks(y_order)
+    edges = [(x_rank[a], x_rank[b], y_rank[c], y_rank[d]) for a, b, c, d in edges]
+    # after the fallback's own checks, this finds nothing
+    failures = _side_failures(
+        t, edges, x_rank[0], y_rank[0], x_rank[outer_w], y_rank[outer_h], operator.sub
+    )
     if failures:
         return ValidationReport(tuple(failures))
-
-    certified = functools.cmp_to_key(LinExpr.cmp)
-    x_cuts = sorted(xs, key=certified)
-    y_cuts = sorted(ys, key=certified)
-    x_index = {v: i for i, v in enumerate(x_cuts)}
-    y_index = {v: i for i, v in enumerate(y_cuts)}
+    x_cuts = [x_vals[i] for i in x_order]
+    y_cuts = [y_vals[i] for i in y_order]
 
     nx, ny = len(x_cuts) - 1, len(y_cuts) - 1
     starts = [[] for _ in range(nx + 1)]
     ends = [[] for _ in range(nx + 1)]
     spans = []
     for idx, (x, right, y, top) in enumerate(edges):
-        starts[x_index[x]].append(idx)
-        ends[x_index[right]].append(idx)
-        spans.append((y_index[y], y_index[top]))
+        starts[x].append(idx)
+        ends[right].append(idx)
+        spans.append((y, top))
 
     target = [0] * (ny + 1)
     target[0], target[ny] = 1, -1

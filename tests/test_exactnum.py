@@ -443,6 +443,35 @@ def test_kernel_matches_termwise_fraction_reference(pair):
         assert e._enclosure == (want_lo.numerator, want_lo.denominator, want_hi.numerator, want_hi.denominator)
 
 
+@st.composite
+def near_pairs(draw):
+    """``(a, a + d)`` for a small ``d``, so that many pairs overlap."""
+    table = draw(st.sampled_from(KERNEL_TABLES))
+    index = st.integers(0, len(table) - 1)
+    a = LinExpr(table, draw(st.dictionaries(index, kernel_coeffs, max_size=len(table))))
+    scale = Fraction(1, 10 ** draw(st.integers(0, 14)))
+    d = draw(st.dictionaries(index, small.map(lambda q: q * scale), max_size=2))
+    return a, a + LinExpr(table, d)
+
+
+@given(st.one_of(kernel_pairs(), near_pairs()))
+# sqrt2 - 275807/195025 > 0 certified, enclosures overlapping
+@example((parse_expr("10*sqrt2", KERNEL_TABLES[0]), parse_expr("9*sqrt2 + 275807/195025", KERNEL_TABLES[0])))
+def test_certified_greater_has_the_greater_lower_bound(pair):
+    """An enclosure is the exact range of its expression over the box of
+    generator brackets.  So a certified a > b holds on the whole box and
+    forces lo(a) > lo(b): the lower-bound order of values that certify is
+    their ``cmp`` order, the order ``validate`` sorts cuts by."""
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        try:
+            c = x.cmp(y)
+        except AmbiguousComparison:
+            continue
+        if c == GREATER:
+            assert x.eval_interval()[0] > y.eval_interval()[0]
+
+
 # --- the stored form: one denominator, integer numerators, reduced -----------
 
 
@@ -519,6 +548,8 @@ def canonical_cases(draw):
 @example((KERNEL_TABLES[0], [(1, 2, 4)], [(1, 1, 2)], Fraction(2), 3))  # 2/4*sqrt2 - 1/2*sqrt2
 @example((KERNEL_TABLES[0], [(0, 1, 3), (0, 1, 6)], [(0, -1, 2)], Fraction(0), 1))  # 1/3 + 1/6 - 1/2
 @example((KERNEL_TABLES[2], [(1, -1, 1), (1, 1, 1)], [(2, 6, 4)], Fraction(-4, 6), 7))  # -1*g + g
+# over denominators 12 and 6, the sqrt2 terms cancel in the sum
+@example((KERNEL_TABLES[0], [(1, 1, 6), (0, 1, 4)], [(1, -1, 6), (0, 1, 3)], Fraction(1), 1))
 def test_stored_form_matches_termwise_fraction_oracle(case):
     check_canonical_form(*case)
 
