@@ -1,20 +1,18 @@
 """Rectangle tilings and their exact geometric validation.
 
-The validator orders the distinct x and y edge values (cuts) once,
-then checks sides and bounds and sweeps the x-cuts left to right, all
-on integer cut ranks.  The order is certified: cuts are sorted by an
-integer key from their cached lower bounds, and each neighbouring pair
-is confirmed by disjoint enclosures or by certified comparison.  When
-a pair is not confirmed, the checks run by certified comparison and
-the cuts are sorted by it, so an ambiguous input names the pair a
-comparison sort meets first.  Between two
-neighbouring x-cuts lies a slab.  The validator accepts exactly when
-every slab is covered exactly once along its whole height and
-everything stays inside the outer rectangle.  Only a failing slab is
-expanded into its cells of the refined grid (every tile edge extended
-across the rectangle), so failure witnesses are refined-grid cells.
-All decisions are made by symbolic equality or certified interval
-comparison; floating point is never consulted.
+The validator orders the distinct x and y edge values (cuts) once, by
+lower bound with each neighbouring pair certified, then checks sides and
+bounds and sweeps the x-cuts left to right on integer cut ranks.  A
+tie in the lower bounds, or a pair the enclosures cannot settle, sends
+the checks and a comparison sort of the cuts to certified comparison,
+with the same report (``validate`` gives the argument and the cost).
+Between two neighbouring x-cuts lies a slab.  The validator accepts
+exactly when every slab is covered exactly once along its whole height
+and everything stays inside the outer rectangle.  Only a failing slab
+is expanded into its cells of the refined grid (every tile edge
+extended across the rectangle), so failure witnesses are refined-grid
+cells.  All decisions are made by symbolic equality or certified
+interval comparison; floating point is never consulted.
 """
 
 from __future__ import annotations
@@ -223,12 +221,13 @@ def validate(t: Tiling) -> ValidationReport:
       transitivity, so each ``cmp`` of the side and bounds checks would
       give the rank comparison's answer.
 
-    Otherwise (a tie, or a pair no enclosure settles) the check runs as
-    it did before ranks: the side and bounds checks by ``cmp``, then a
-    ``cmp`` sort of the cuts in first-seen order, which raises on the
-    same pair.  A sort that succeeds has compared every neighbouring
-    pair of its output, so it succeeds exactly when the order can be
-    certified; an ambiguous input never reaches the ranks.
+    Otherwise (a tie, or a pair no enclosure settles) the side and
+    bounds checks run by ``cmp``, then a ``cmp`` sort of the cuts in
+    first-seen order, which raises on the first pair it cannot order.
+    A sort that succeeds has compared every neighbouring pair of its
+    output, so it succeeds exactly when the cut order can be certified,
+    and both ways give one report; an ambiguous input raises on the
+    pair a comparison sort meets first.
 
     Coverage is one sweep over the x-cuts.  ``net[j]`` counts the active
     tiles (those spanning the current slab) whose y-span starts at y-cut

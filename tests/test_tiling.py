@@ -264,8 +264,7 @@ def test_validate_comparisons_are_n_log_n(monkeypatch, n):
     certified comparison: the spiral's cuts have disjoint enclosures, so
     every neighbouring pair of the lower-bound order is confirmed by
     cross-multiplication.  It fills one enclosure per distinct cut value,
-    n + 1 or n + 2 fills.  (The ``cmp`` sort this replaced made 1.35 to
-    1.50 n log2 n comparisons.)"""
+    n + 1 or n + 2 fills."""
     doc = workloads.log_cabin(random.Random(n), n)
     _, t = build_tiling(parse_document(doc.data))
     counts = {"cmp": 0, "fills": 0}
