@@ -17,7 +17,6 @@ from .exactnum import (
     EQUAL,
     GREATER,
     LESS,
-    SQRT2,
     Generator,
     GeneratorTable,
     LinExpr,

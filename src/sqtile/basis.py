@@ -30,12 +30,14 @@ then a minor of the relation matrix, so by Sylvester's identity that
 division is exact (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968), and no
 gcd is taken.  Values become Fractions, which reduce them, only where
-they leave the module, in ``input_coords`` and ``coords``.
+they leave the module: in the coordinates of each distinct input, which
+``extract_basis`` pads to the basis width once, and in ``coords``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import NotInSpan
 from .exactnum import LinExpr, Value
@@ -48,21 +50,19 @@ class Basis(Value):
 
     ``elements[0]`` is s0 and, in the incommensurable case, ``elements[1]``
     is t0.  ``coords`` solves for the unique representation of any length
-    in the span; ``input_coords`` holds the precomputed coordinates of
-    every extraction input, aligned with ``inputs``.  Two bases are equal
-    only when they are the same object.
+    in the span.  ``known`` maps each distinct extraction input to its
+    coordinates; the basis keeps it as a read-only view, which answers
+    ``coords`` for those inputs.  Two bases are equal only when they are
+    the same object.
     """
 
-    __slots__ = ("elements", "_rows", "_scale", "inputs", "input_coords", "has_t0", "_known")
+    __slots__ = ("elements", "_rows", "_scale", "has_t0", "_known")
 
-    def __init__(self, elements, rows, scale, inputs, input_coords, has_t0):
-        inputs = tuple(inputs)
-        input_coords = tuple(tuple(v) for v in input_coords)
-        known = dict(zip(inputs, input_coords))
-        super().__init__(tuple(elements), tuple(rows), scale, inputs, input_coords, has_t0, known)
+    def __init__(self, elements, rows, scale, has_t0, known):
+        super().__init__(tuple(elements), tuple(rows), scale, has_t0, MappingProxyType(dict(known)))
 
     def __reduce__(self):
-        return Basis, self._fields()[:-1]  # _known is rebuilt from the inputs
+        return Basis, (*self._fields()[:-1], dict(self._known))  # a view does not pickle
 
     __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
@@ -74,8 +74,8 @@ class Basis(Value):
         """Unique coordinates of ``p`` over ``elements``.
 
         Raises NotInSpan if ``p`` is not a rational combination of the
-        basis elements.  Extraction inputs are answered from
-        ``input_coords``.
+        basis elements.  Extraction inputs are answered from the map
+        the basis was built with.
         """
         known = self._known.get(p)
         if known is not None:
@@ -163,6 +163,6 @@ def extract_basis(lengths) -> Basis:
         if pos == 1:  # t0 is selected only if it is not s0 or in its span
             has_t0 = len(elements) == 2
 
-    pad = len(elements)
-    coords = [seen[p] + [Fraction(0)] * (pad - len(seen[p])) for p in lengths]
-    return Basis(elements, rows, scale, lengths, coords, has_t0)
+    pad = [Fraction(0)] * len(elements)
+    known = {p: tuple(c + pad[len(c):]) for p, c in seen.items()}
+    return Basis(elements, rows, scale, has_t0, known)

@@ -515,7 +515,7 @@ def run_command(argv) -> int:
         code = EXIT_REFUTED
         payload = {"error": "invalid_tiling", "failures": exc.report.as_dict()["failures"]}
         lines = [f"invalid tiling: {exc.report}"]
-    except (DocumentError, SqtileError, ValueError, ZeroDivisionError) as exc:
+    except (SqtileError, ValueError, ZeroDivisionError) as exc:
         code = EXIT_INPUT
         payload = {"error": "input", "detail": str(exc)}
         lines = [f"error: {exc}"]

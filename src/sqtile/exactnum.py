@@ -13,8 +13,11 @@ and the equality test of ``cmp`` compare ints, and a sum costs one gcd of
 the two denominators.  Each generator bracket is held as
 ``(lo_num, lo_den, hi_num, hi_den)`` and each expression caches its two
 reduced bounds in that form, so ``LinExpr.cmp`` orders disjoint pairs by
-cross-multiplication.  Every value the module returns is a ``Fraction``,
-the one termwise ``Fraction`` arithmetic gives.
+cross-multiplication, and ``certified_order`` orders a list of values by
+one integer sort of their lower bounds with each neighbouring pair
+confirmed (a ``cmp`` sort only after a tie or an unsettled pair).  Every
+value the module returns is a ``Fraction``, the one termwise ``Fraction``
+arithmetic gives.
 
 ``parse_expr`` reads the whole grammar with one term regex and one match
 per term, puts every term over one common denominator and reduces once.
@@ -25,6 +28,7 @@ empty text, or the term's first fault, with its column and token.
 
 from __future__ import annotations
 
+import functools
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -165,23 +169,16 @@ class Sqrt2Num(Value):
     def sign(self) -> int:
         """Exact sign of the real value a + b*sqrt(2): -1, 0 or 1.
 
-        Mixed-sign components reduce to comparing a^2 against 2 b^2,
-        which is pure rational arithmetic.
+        When the signs of a and b agree, or one is 0, the nonzero sign
+        is the answer.  Otherwise the term with the larger square wins:
+        a^2 against 2 b^2, pure rational arithmetic, never equal for
+        nonzero rationals.
         """
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # a^2 = 2 b^2 is impossible for nonzero rationals
-        if a > 0:  # b < 0: positive iff a > -b*sqrt2 iff a^2 > 2 b^2
-            return 1 if a * a > 2 * b * b else -1
-        # a < 0, b > 0: positive iff b*sqrt2 > -a iff 2 b^2 > a^2
-        return 1 if 2 * b * b > a * a else -1
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if a * a > 2 * b * b else sb
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -202,9 +199,6 @@ class Sqrt2Num(Value):
             return f"{rational_text(self.b)}*sqrt2"
         op = "-" if self.b < 0 else "+"
         return f"{rational_text(self.a)} {op} {rational_text(abs(self.b))}*sqrt2"
-
-
-SQRT2 = Sqrt2Num(0, 1)
 
 
 UNIT_SYMBOL = "1"
@@ -392,13 +386,6 @@ class LinExpr(Value):
         d = self._den
         return {i: Fraction(v, d) for i, v in self._nums}
 
-    def coeff_vector(self) -> list:
-        """Dense coefficient list aligned with the table."""
-        vec = [Fraction(0)] * len(self.table)
-        for i, c in self.coeffs.items():
-            vec[i] = c
-        return vec
-
     @property
     def is_zero(self) -> bool:
         return not self._nums
@@ -545,6 +532,36 @@ class LinExpr(Value):
 _set_table, _set_den, _set_nums, _set_hash, _set_enclosure = (
     LinExpr.__dict__[name].__set__ for name in LinExpr.__slots__
 )
+
+
+def certified_order(values) -> list:
+    """The indices of the distinct ``values`` in increasing order.
+
+    The indices are sorted by an integer key, the cached lower bound
+    scaled by 2**64 and floored, and each neighbouring pair is confirmed
+    LESS: by disjoint enclosures, compared by cross-multiplication, or
+    else by ``LinExpr.cmp``.  That order is the ``cmp`` order: a
+    certified a > b holds on the whole box of generator brackets, where
+    an enclosure is the exact range of a linear form, so lo(a) > lo(b).
+    A pair ``cmp`` answers GREATER (a tie in the key) or cannot order
+    sends the values, in their given order, to a ``cmp`` sort instead,
+    which raises AmbiguousComparison on the first pair it cannot order.
+    """
+    bounds = [v._bounds() for v in values]
+    keys = [(lo_n << 64) // lo_d for lo_n, lo_d, _, _ in bounds]
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    try:
+        for a, b in zip(order, order[1:]):
+            _, _, hi_n, hi_d = bounds[a]
+            lo_n, lo_d, _, _ = bounds[b]
+            if hi_n * lo_d >= lo_n * hi_d and values[a].cmp(values[b]) != LESS:
+                break
+        else:
+            return order
+    except AmbiguousComparison:
+        pass
+    key = functools.cmp_to_key(LinExpr.cmp)
+    return sorted(range(len(values)), key=lambda i: key(values[i]))
 
 
 def sqrt2_expr_to_num(e: LinExpr) -> Sqrt2Num:

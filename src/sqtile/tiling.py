@@ -1,11 +1,11 @@
 """Rectangle tilings and their exact geometric validation.
 
-The validator orders the distinct x and y edge values (cuts) once, by
-lower bound with each neighbouring pair certified, then checks sides and
-bounds and sweeps the x-cuts left to right on integer cut ranks.  A
-tie in the lower bounds, or a pair the enclosures cannot settle, sends
-the checks and a comparison sort of the cuts to certified comparison,
-with the same report (``validate`` gives the argument and the cost).
+The validator orders the distinct x and y edge values (cuts) once per
+axis, by ``exactnum.certified_order``, then checks sides and bounds and
+sweeps the x-cuts left to right on integer cut ranks.  When a pair of
+cuts cannot be ordered, the side and bound checks run by certified
+comparison, so their failures are still reported before the pair is
+raised (``validate`` gives the argument and the cost).
 Between two neighbouring x-cuts lies a slab.  The validator accepts
 exactly when every slab is covered exactly once along its whole height
 and everything stays inside the outer rectangle.  Only a failing slab
@@ -17,11 +17,10 @@ interval comparison; floating point is never consulted.
 
 from __future__ import annotations
 
-import functools
 import operator
 
 from .errors import AmbiguousComparison
-from .exactnum import LESS, GeneratorTable, LinExpr, Value
+from .exactnum import GeneratorTable, LinExpr, Value, certified_order
 
 __all__ = [
     "Placement",
@@ -154,39 +153,6 @@ def _side_failures(t: Tiling, edges, zero_x, zero_y, outer_w, outer_h, cmp):
     return failures
 
 
-def _certified_order(values):
-    """The indices of the distinct ``values`` in increasing order, or
-    None when that order cannot be certified this way.
-
-    The indices are sorted by an integer key, the cached lower bound
-    scaled by 2**64 and floored.  Each neighbouring pair is then
-    confirmed: by disjoint enclosures, compared by cross-multiplication,
-    or else by ``LinExpr.cmp``.  A pair ``cmp`` answers GREATER (a tie
-    in the key) or cannot order gives None.
-    """
-    bounds = [v._bounds() for v in values]
-    keys = [(lo_n << 64) // lo_d for lo_n, lo_d, _, _ in bounds]
-    order = sorted(range(len(values)), key=keys.__getitem__)
-    for a, b in zip(order, order[1:]):
-        _, _, hi_n, hi_d = bounds[a]
-        lo_n, lo_d, _, _ = bounds[b]
-        if hi_n * lo_d < lo_n * hi_d:
-            continue
-        try:
-            if values[a].cmp(values[b]) != LESS:
-                return None
-        except AmbiguousComparison:
-            return None
-    return order
-
-
-def _order_by_cmp(values):
-    """The indices of ``values`` sorted by ``LinExpr.cmp``, in the order
-    of comparisons that sorting ``values`` themselves makes."""
-    key = functools.cmp_to_key(LinExpr.cmp)
-    return sorted(range(len(values)), key=lambda i: key(values[i]))
-
-
 def _ranks(order):
     rank = [0] * len(order)
     for r, i in enumerate(order):
@@ -207,27 +173,22 @@ def validate(t: Tiling) -> ValidationReport:
     distinct value's enclosure is evaluated once.
 
     The distinct x and y cut values are ordered first, each axis by
-    ``_certified_order``: one integer sort by lower bound, then one
-    check of each neighbouring pair.  When every neighbour is confirmed
-    LESS, the order is certified, and the side, bounds and coverage
-    checks all run on integer ranks.  The certified order is the one
-    ``LinExpr.cmp`` gives, since an enclosure is the exact range of a
-    linear form over the box of generator brackets:
+    ``certified_order`` inside one ``try``.  The cases:
 
-    * a certified a > b means a > b on the whole box, so lo(a) > lo(b),
-      and the lower-bound order is the true one whenever one can be
-      certified (only a tie in the 64-bit key gives GREATER);
-    * neighbours certified LESS make every pair of cuts certify, by
-      transitivity, so each ``cmp`` of the side and bounds checks would
-      give the rank comparison's answer.
-
-    Otherwise (a tie, or a pair no enclosure settles) the side and
-    bounds checks run by ``cmp``, then a ``cmp`` sort of the cuts in
-    first-seen order, which raises on the first pair it cannot order.
-    A sort that succeeds has compared every neighbouring pair of its
-    output, so it succeeds exactly when the cut order can be certified,
-    and both ways give one report; an ambiguous input raises on the
-    pair a comparison sort meets first.
+    * Both orders come back.  Every neighbouring pair of each order is
+      certified LESS (confirmed on the lower-bound order, or compared by
+      a ``cmp`` sort that succeeded), so by transitivity every pair of
+      cuts certifies, since the difference of the ends of a chain lies
+      inside the sum of the chain's enclosures.  Each ``cmp`` the side
+      and bounds checks would make therefore gives the rank
+      comparison's answer, and those checks and the coverage sweep all
+      run on integer ranks.
+    * An order raises on a pair of cuts.  The side and bounds checks
+      run by ``cmp``, as they would before any sort: their failures are
+      the report, or they raise on the first side or bounds pair they
+      cannot order.  Only when they pass is the cut pair re-raised, the
+      pair a ``cmp`` sort of the cuts in first-seen order meets first
+      (the x cuts before the y cuts).
 
     Coverage is one sweep over the x-cuts.  ``net[j]`` counts the active
     tiles (those spanning the current slab) whose y-span starts at y-cut
@@ -263,19 +224,18 @@ def validate(t: Tiling) -> ValidationReport:
             ys.setdefault(top, len(ys)),
         ))
     x_vals, y_vals = list(xs), list(ys)
-    x_order = _certified_order(x_vals)
-    y_order = None if x_order is None else _certified_order(y_vals)
-    if y_order is None:
+    try:
+        x_order, y_order = certified_order(x_vals), certified_order(y_vals)
+    except AmbiguousComparison:
         edge_vals = [(x_vals[a], x_vals[b], y_vals[c], y_vals[d]) for a, b, c, d in edges]
         failures = _side_failures(
             t, edge_vals, zero, zero, x_vals[outer_w], y_vals[outer_h], LinExpr.cmp
         )
         if failures:
             return ValidationReport(tuple(failures))
-        x_order, y_order = _order_by_cmp(x_vals), _order_by_cmp(y_vals)
+        raise
     x_rank, y_rank = _ranks(x_order), _ranks(y_order)
     edges = [(x_rank[a], x_rank[b], y_rank[c], y_rank[d]) for a, b, c, d in edges]
-    # after the fallback's own checks, this finds nothing
     failures = _side_failures(
         t, edges, x_rank[0], y_rank[0], x_rank[outer_w], y_rank[outer_h], operator.sub
     )

@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 
 from sqtile import (
-    SQRT2,
     Contradiction,
     Placement,
     RefutationKind,
@@ -145,8 +144,8 @@ def test_criterion_5_conjugation_and_x_area_identities():
         s, t = rand_good(), rand_good()
         assert (s + t).conj() == s.conj() + t.conj()
         assert (s * t).conj() == s.conj() * t.conj()
-        assert x_area(s, t, SQRT2) == s * t
-        assert x_area(s, t, -SQRT2) == (s * t).conj()
+        assert x_area(s, t, Sqrt2Num(0, 1)) == s * t
+        assert x_area(s, t, -Sqrt2Num(0, 1)) == (s * t).conj()
 
 
 # --- criterion 6: nonnegative areas iff rational ratio ------------------------

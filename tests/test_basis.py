@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from sqtile import (
     extract_basis,
     parse_document,
     parse_expr,
+    y_area,
 )
 
 from conftest import BOUWKAMP_CODES, combine, tight_enclosure, tight_table, workloads
@@ -54,8 +57,8 @@ def test_fig4_selection_golden(table):
     assert basis.elements == (lengths[0], lengths[1], lengths[3])
     assert basis.has_t0
     # every input reconstructs exactly from its coordinates
-    for p, coords in zip(basis.inputs, basis.input_coords):
-        assert combine(basis, coords) == p
+    for p in lengths:
+        assert combine(basis, basis.coords(p)) == p
 
 
 def test_two_independent_inputs(table):
@@ -74,6 +77,26 @@ def test_dependent_third_input(table):
     assert basis.elements == (one, r2)
     # hand-solved 2x2 rational system: p = 3*1 + (-2)*sqrt2
     assert basis.coords(p) == (3, -2)
+
+
+def test_input_coordinates_are_read_only_and_survive_copies(table):
+    """The coordinates of the inputs cannot be rewritten in place: a
+    write would change what ``coords`` says of an input, and so every y
+    area, as here for h = 1*sqrt2 (y(h) = -1 would become 5).  Copies and
+    pickles rebuild the same coordinates."""
+    w, h = LinExpr.constant(table, 1), parse_expr("1*sqrt2", table)
+    basis = extract_basis([w, h])
+    assert y_area(w, h, basis, -1) == -1
+    with pytest.raises(TypeError):
+        basis._known[h] = (Fraction(5), Fraction(0))
+    assert y_area(w, h, basis, -1) == -1
+    lengths = fig4_lengths(table)
+    basis = extract_basis(lengths)
+    for other in (copy.copy(basis), copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
+        assert other is not basis
+        assert other.elements == basis.elements and other.has_t0 == basis.has_t0
+        for p in lengths + [parse_expr("5 + 1*sqrt2 - 7/2*sqrt3", table)]:
+            assert other.coords(p) == basis.coords(p)
 
 
 def test_coords_st_examples(table):
@@ -174,6 +197,12 @@ def _random_lengths(rng, table, count):
     return out
 
 
+def _dense(p: LinExpr) -> list:
+    """The coefficients of ``p``, one per generator of its table."""
+    coeffs = p.coeffs
+    return [coeffs.get(i, Fraction(0)) for i in range(len(p.table))]
+
+
 def _rank_oracle(vectors):
     """Plain fraction Gaussian elimination with reversed column order."""
     rows = [list(reversed(v)) for v in vectors]
@@ -200,17 +229,17 @@ def test_selected_count_equals_independent_rank_oracle():
     for _ in range(60):
         lengths = _random_lengths(rng, table, rng.randint(3, 10))
         basis = extract_basis(lengths)
-        assert len(basis.elements) == _rank_oracle([p.coeff_vector() for p in lengths])
+        assert len(basis.elements) == _rank_oracle([_dense(p) for p in lengths])
         assert basis.rank == len(basis.elements)
-        for p, coords in zip(basis.inputs, basis.input_coords):
-            assert combine(basis, coords) == p
+        for p in lengths:
+            assert combine(basis, basis.coords(p)) == p
         # non-inputs are solved by the elimination pass, not the input table
         for _ in range(3):
             q = LinExpr.zero(table)
             for p in lengths:
                 big = 10 ** rng.randint(1, 64)
                 q = q + p * Fraction(rng.randint(-big, big), rng.randint(1, big))
-            assert q not in basis.inputs
+            assert q not in lengths
             assert combine(basis, basis.coords(q)) == q
 
 
@@ -230,8 +259,10 @@ def test_tail_order_changes_set_but_not_span(table):
 
 
 def test_perturbed_coordinates_break_reconstruction(table):
-    basis = extract_basis(fig4_lengths(table))
-    for p, coords in zip(basis.inputs, basis.input_coords):
+    lengths = fig4_lengths(table)
+    basis = extract_basis(lengths)
+    for p in lengths:
+        coords = basis.coords(p)
         for k in range(len(coords)):
             bumped = list(coords)
             bumped[k] += 1
@@ -255,8 +286,10 @@ positive_sides = st.lists(
 @given(positive_sides, st.data())
 def test_coords_of_inputs_sums_and_outside_lengths(sides, data):
     basis = extract_basis(sides)
-    for p, coords in zip(basis.inputs, basis.input_coords):
-        assert basis.coords(p) == coords
+    for p in sides:
+        coords = basis.coords(p)
+        assert len(coords) == len(basis.elements)
+        assert combine(basis, coords) == p
     p = data.draw(st.sampled_from(sides))
     q = data.draw(st.sampled_from(sides))
     total = basis.coords(p + q)
@@ -304,7 +337,7 @@ def _oracle_scan(lengths):
     """The greedy in-order scan, each length solved from scratch."""
     elements, coords = [], []
     for p in lengths:
-        c = _solve([e.coeff_vector() for e in elements], p.coeff_vector())
+        c = _solve([_dense(e) for e in elements], _dense(p))
         if c is None:
             c = [Fraction(0)] * len(elements) + [Fraction(1)]
             elements.append(p)
@@ -352,7 +385,7 @@ def _oracle_case(draw):
             p = LinExpr.constant(table, draw(st.integers(1, 10**64)))
         elif p.cmp(LinExpr.zero(table)) < 0:
             p = -p
-        vectors.append(p.coeff_vector())
+        vectors.append(_dense(p))
     others = [combination() for _ in range(2)]
     others.append([draw(st.one_of(st.just(Fraction(0)), _big_fraction())) for _ in range(n)])
     others.append(draw(st.sampled_from(vectors)))
@@ -365,9 +398,9 @@ def _assert_matches_oracle(lengths, others):
     assert basis.elements == tuple(elements)
     assert basis.has_t0 == (len(_oracle_scan(lengths[:2])[0]) == 2)
     assert basis.rank == len(elements)
-    assert basis.input_coords == tuple(coords)
+    assert tuple(basis.coords(p) for p in lengths) == tuple(coords)
     for q in others:
-        want = _solve([e.coeff_vector() for e in elements], q.coeff_vector())
+        want = _solve([_dense(e) for e in elements], _dense(q))
         if want is None:
             with pytest.raises(NotInSpan):
                 basis.coords(q)

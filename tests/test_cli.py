@@ -483,6 +483,9 @@ def test_cli_decide_tilable_default_enclosures(capsys):
     code, out = run(capsys, "decide", "--width", "2 + 2*sqrt2", "--height", "3 + 3*sqrt2")
     assert code == 0
     assert "3/2" in out
+    # a later term's rational keeps its own '-': 2 - -1 is 3
+    code, out = run(capsys, "decide", "--width", "2 - -1", "--height", "3", "--format", "json")
+    assert (code, json.loads(out)["ratio"]) == (0, "1")
 
 
 def test_cli_decide_y_override(capsys):
@@ -617,13 +620,23 @@ def test_cli_values_with_two_leading_dashes_reach_their_handler(capsys):
     assert run(capsys, "decide", "--wid=1", "--height", "1*sqrt2") == run(capsys, *rect)
 
 
+def test_cli_usage_faults_give_one_input_report(fig4_path, capsys):
+    """An unknown option, a missing or extra FILE, an unknown subcommand,
+    the bare "--" as a value and a precision in non-ASCII digits."""
+    for argv in (
+        ("decide", "--bogus", "1"),
+        ("validate",),
+        ("validate", "a", "b"),
+        ("bogus",),
+        ("decide", "--width", "--", "--height", "1"),
+        ("render", fig4_path, "--precision", "\u0661"),
+    ):
+        _input_error(capsys, *argv)
+
+
 def test_cli_root_brackets_must_contain_the_root(tmp_path, capsys):
-    code, out = run(
-        capsys, "decide", "--width", "1", "--height", "1*sqrt2", "--gen", "sqrt2=[3,4]", "--format", "json"
-    )
-    assert code == 2
     detail = "generator sqrt2: enclosure [3, 4] does not contain the square root of 2"
-    assert json.loads(out)["detail"] == detail
+    assert _input_error(capsys, "decide", "--width", "1", "--height", "1*sqrt2", "--gen", "sqrt2=[3,4]") == detail
     path = _write(
         tmp_path, "bad.tiling", [("sqrt3", "1", "3/2")], ("1", "1*sqrt3"), [("0", "0", "1", "1*sqrt3")]
     )
@@ -683,10 +696,12 @@ def test_cli_verify_confirms_square_tiling(tmp_path, capsys):
 
 
 def _input_error(capsys, command, *argv):
-    """The JSON report of an invocation that must be an input error."""
-    code, out = run(capsys, command, *argv, "--format", "json")
+    """The JSON report of an invocation that must be an input error, with
+    nothing on stderr."""
+    code = run_command([command, *argv, "--format", "json"])
+    out, err = capsys.readouterr()
     payload = json.loads(out)
-    assert (code, payload["exit_code"], payload["error"]) == (2, 2, "input")
+    assert (code, payload["exit_code"], payload["error"], err) == (2, 2, "input", "")
     return payload["detail"]
 
 
@@ -824,6 +839,7 @@ def test_cli_long_names_give_short_reports(tmp_path, capsys):
     fig4 = json.loads(_FIG4_TEXT)
     docs = {
         "key": {**fig4, g: 1},
+        "only key": {g: 1},
         "symbol": {**fig4, "generators": [{"symbol": g}]},
         "twice": {**fig4, "generators": [{"symbol": g, "lo": "1", "hi": "2"}] * 2},
         "half": {**fig4, "generators": [{"symbol": g, "lo": "1"}]},
@@ -878,14 +894,14 @@ def test_cli_verify_commensurable_non_square_tilings(tmp_path, capsys):
 
 
 def test_cli_ambiguous_comparisons_exit_3(tmp_path, capsys):
-    code, out = run(
-        capsys, "decide", "--width", "-1 + 1*g", "--height", "1", "--gen", "g=[1/2,5/2]"
+    decide = ("decide", "--width", "-1 + 1*g", "--height", "1", "--gen", "g=[1/2,5/2]")
+    detail = "cannot order -1 + 1*g against 0: enclosures overlap; declare tighter generator enclosures"
+    assert run(capsys, *decide) == (
+        3, f"ambiguous comparison: {detail}\ndeclare tighter enclosures with --gen and retry\n"
     )
-    assert (code, out) == (
-        3,
-        "ambiguous comparison: cannot order -1 + 1*g against 0: enclosures overlap; "
-        "declare tighter generator enclosures\n"
-        "declare tighter enclosures with --gen and retry\n",
+    code, out = run(capsys, *decide, "--format", "json")
+    assert (code, json.loads(out)) == (
+        3, {"command": "decide", "exit_code": 3, "error": "ambiguous_comparison", "detail": detail}
     )
     # g in [1/2, 5/2] cannot certify that the second tile's width 2 - g is positive
     amb = _write(
@@ -1069,11 +1085,13 @@ def test_cli_render_precision_takes_ascii_digits_only(fig4_path, capsys):
 
 
 def test_cli_render_precision_is_bounded(fig4_path, capsys):
+    detail = _input_error(capsys, "render", fig4_path, "--precision", "10001")
+    assert "at most 10000" in detail
     code, out = run(capsys, "render", fig4_path, "--precision", "10001", "--format", "json")
-    assert code == 2
-    assert json.loads(out)["error"] == "input" and len(out.encode()) < 512
+    assert len(out.encode()) < 512
     assert run(capsys, "render", fig4_path, "--precision", "10000", "--format", "json")[0] == 0
     # past the int digit limit: the same report as 10001, and zeros are read as 0
+    assert _input_error(capsys, "render", fig4_path, "--precision", "9" * 5000) == detail
     assert run(capsys, "render", fig4_path, "--precision", "9" * 5000, "--format", "json") == (code, out)
     code, out = run(capsys, "render", fig4_path, "--precision", "0" * 5000, "--format", "json")
     assert (code, out) == run(capsys, "render", fig4_path, "--precision", "0", "--format", "json")

@@ -17,7 +17,6 @@ from sqtile import (
     InvalidTiling,
     LinExpr,
     Placement,
-    SQRT2,
     Sqrt2Num,
     Tiling,
     additivity_check,
@@ -59,7 +58,7 @@ def fig4(table):
 def test_x_area_examples():
     s = Sqrt2Num(1, 1)
     assert x_area(s, s, -1) == Sqrt2Num(0)  # (1-1)^2
-    assert x_area(Sqrt2Num(1), s, SQRT2) == s  # ordinary area of 1 x (1+sqrt2)
+    assert x_area(Sqrt2Num(1), s, Sqrt2Num(0, 1)) == s  # ordinary area of 1 x (1+sqrt2)
     # negative parametric area witnessing non-tilability of 1 x (2+sqrt2)
     assert x_area(Sqrt2Num(1), Sqrt2Num(2, 1), -3) == Sqrt2Num(-1)
 
@@ -76,8 +75,8 @@ def test_x_area_nonneg_examples():
 
 @given(sqrt2nums, sqrt2nums)
 def test_x_area_at_pm_sqrt2_is_product_and_conjugate(w, h):
-    assert x_area(w, h, SQRT2) == w * h
-    assert x_area(w, h, -SQRT2) == (w * h).conj()
+    assert x_area(w, h, Sqrt2Num(0, 1)) == w * h
+    assert x_area(w, h, -Sqrt2Num(0, 1)) == (w * h).conj()
 
 
 def test_square_x_area_nonneg_at_rational_x():

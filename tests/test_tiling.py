@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from sqtile import (
+    GREATER,
+    LESS,
     AmbiguousComparison,
     Generator,
     GeneratorTable,
@@ -24,7 +26,7 @@ from sqtile import (
 )
 
 from sqtile.cli import DEFAULT_ENCLOSURES
-from sqtile.tiling import _certified_order
+from sqtile.exactnum import certified_order
 
 from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
 from test_validate_reference import reference_validate
@@ -208,21 +210,32 @@ def _cut_values(t: Tiling):
     return list(xs), list(ys)
 
 
-def test_certified_order_is_the_cmp_order():
+def test_certified_order_is_the_cmp_order(monkeypatch):
     """On the bench's ``library`` documents of seeds 1-3 (spirals,
     staircases, column rows and convergent claims, some defective) and on
     the Bouwkamp squared rectangles, plain and stretched by sqrt2, the
-    lower-bound order is certified and equals the ``cmp`` sort."""
+    lower-bound order is certified (every ``cmp`` its neighbour check
+    makes answers LESS, so no ``cmp`` sort follows) and equals the
+    ``cmp`` sort."""
     table = tight_table(2)
     tilings = [build_tiling(parse_document(d.data))[1] for s in (1, 2, 3) for d in workloads.library(s)]
     for code in BOUWKAMP_CODES.values():
         tilings += [bouwkamp_tiling(code, table, unit) for unit in (None, parse_expr("1*sqrt2", table))]
     key = functools.cmp_to_key(LinExpr.cmp)
+    answers = []
+    cmp = LinExpr.cmp
+
+    def recorded_cmp(self, other):
+        answers.append(None)  # stays None when cmp raises
+        answers[-1] = cmp(self, other)
+        return answers[-1]
+
+    monkeypatch.setattr(LinExpr, "cmp", recorded_cmp)  # ``key`` keeps the original
     for t in tilings:
         for values in _cut_values(t):
-            order = _certified_order(values)
-            assert order is not None
+            order = certified_order(values)
             assert [values[i] for i in order] == sorted(values, key=key)
+    assert all(a == LESS for a in answers)
 
 
 def test_validate_confirms_overlapping_neighbours_by_cmp(monkeypatch):
@@ -236,7 +249,7 @@ def test_validate_confirms_overlapping_neighbours_by_cmp(monkeypatch):
     e = lambda s: parse_expr(s, table)
     zero, cut, outer = e("0"), e("9*sqrt2 + 275807/195025"), e("10*sqrt2")
     assert outer.eval_interval()[0] < cut.eval_interval()[1]
-    assert _certified_order([zero, outer, cut]) == [0, 2, 1]
+    assert certified_order([zero, outer, cut]) == [0, 2, 1]
     left = Placement(zero, zero, cut, e("1"))
     valid = Tiling(outer, e("1"), (left, Placement(cut, zero, outer - cut, e("1"))), table)
     short = Tiling(outer, e("1"), (left, Placement(cut, zero, outer - cut, e("1/2"))), table)
@@ -256,6 +269,71 @@ def test_validate_confirms_overlapping_neighbours_by_cmp(monkeypatch):
     ]
     for t in (valid, short):
         assert validate(t).as_dict() == reference_validate(t).as_dict()
+
+
+def test_key_tie_falls_back_to_the_cmp_sort(monkeypatch):
+    """The x cuts 1 + 2**-70 and 1 + 2**-71 share the lower-bound key
+    floor(2**64 * lo), so the key order keeps the larger, seen first,
+    before the smaller, and the neighbour check gets GREATER from
+    ``cmp``.  ``certified_order`` then gives the ``cmp`` sort, and
+    ``validate`` reports what the reference validator reports."""
+    table = GeneratorTable([])
+    e = lambda s: parse_expr(s, table)
+    big, small = e(f"1 + 1/{2**70}"), e(f"1 + 1/{2**71}")
+    zero, half, two = e("0"), e("1/2"), e("2")
+
+    def tiling(top_right_w):
+        return Tiling(two, e("1"), (
+            Placement(zero, zero, big, half),
+            Placement(big, zero, two - big, half),
+            Placement(zero, half, small, half),
+            Placement(small, half, top_right_w, half),
+        ), table)
+
+    valid, gap = tiling(two - small), tiling(two - big)
+    values = [zero, two, big, small]
+    assert _cut_values(valid)[0] == values
+    answers = []
+    cmp = LinExpr.cmp
+
+    def recorded_cmp(self, other):
+        answers.append((self, other, cmp(self, other)))
+        return answers[-1][2]
+
+    monkeypatch.setattr(LinExpr, "cmp", recorded_cmp)
+    assert certified_order(values) == [0, 3, 2, 1]
+    monkeypatch.undo()
+    assert answers[0] == (big, small, GREATER)
+    assert validate(valid).is_valid
+    assert [f.kind for f in validate(gap).failures] == ["gap"]
+    for t in (valid, gap):
+        assert validate(t).as_dict() == reference_validate(t).as_dict()
+
+
+def _unorderable_tiling(with_tile_0: bool):
+    """A 2 x 1 rectangle in two rows, cut at x = 1*g above and x = 1
+    below, with g in [9/10, 11/10]: no enclosure orders those two cuts.
+    Tile 0, if present, has height -1/4."""
+    table = GeneratorTable([Generator("g", Fraction(9, 10), Fraction(11, 10))])
+    e = lambda s: parse_expr(s, table)
+    tiles = (
+        Placement(e("0"), e("1/2"), e("1*g"), e("1/2")),
+        Placement(e("1*g"), e("1/2"), e("2 - 1*g"), e("1/2")),
+        Placement(e("0"), e("0"), e("1"), e("1/2")),
+        Placement(e("1"), e("0"), e("1"), e("1/2")),
+    )
+    if with_tile_0:
+        tiles = (Placement(e("0"), e("0"), e("1"), e("-1/4")),) + tiles
+    return Tiling(e("2"), e("1"), tiles, table)
+
+
+def test_side_failures_come_before_an_unorderable_cut_pair():
+    report = validate(_unorderable_tiling(True))
+    assert [(f.kind, f.tiles, f.witness["side"]) for f in report.failures] == [
+        ("nonpositive_side", (0,), "h")
+    ]
+    with pytest.raises(AmbiguousComparison, match=r"cannot order 1 against 1\*g: "):
+        validate(_unorderable_tiling(False))
 
 
 @pytest.mark.parametrize("n", [200, 400, 800, 1600])
