@@ -73,10 +73,13 @@ class Basis(Value):
     def coords(self, p: LinExpr) -> tuple:
         """Unique coordinates of ``p`` over ``elements``.
 
-        Raises NotInSpan if ``p`` is not a rational combination of the
-        basis elements.  Extraction inputs are answered from the map
-        the basis was built with.
+        Raises TableMismatch if ``p`` is over another generator table, and
+        NotInSpan if it is not a rational combination of the basis
+        elements.  Extraction inputs are answered from the map the basis
+        was built with.
         """
+        if p.table is not self.elements[0].table:
+            self.elements[0]._check_table(p)
         known = self._known.get(p)
         if known is not None:
             return known

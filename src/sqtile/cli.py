@@ -60,6 +60,8 @@ DEFAULT_ENCLOSURES = {
     "sqrt5": (Fraction(3940598, 1762289), Fraction(16692641, 7465176)),
 }
 
+_TILE_KEYS = {"x", "y", "w", "h"}
+
 
 def _expect(cond, message, **loc):
     if not cond:
@@ -127,12 +129,14 @@ def parse_document(text) -> dict:
     tiles_raw = raw["tiles"]
     _expect(isinstance(tiles_raw, list) and tiles_raw, "'tiles' must be a nonempty list")
     tiles = []
-    for i, t in enumerate(tiles_raw):
-        _expect(isinstance(t, dict) and set(t) == {"x", "y", "w", "h"},
-                f"tiles[{i}] must be an object with exactly the keys x, y, w, h")
-        for k in ("x", "y", "w", "h"):
-            _expect(isinstance(t[k], str), f"tiles[{i}].{k} must be an expression string")
-        tiles.append({"x": t["x"], "y": t["y"], "w": t["w"], "h": t["h"]})
+    for i, t in enumerate(tiles_raw):  # messages are formatted only on failure
+        if not (isinstance(t, dict) and t.keys() == _TILE_KEYS):
+            raise DocumentError(f"tiles[{i}] must be an object with exactly the keys x, y, w, h")
+        x, y, w, h = t["x"], t["y"], t["w"], t["h"]
+        if not (isinstance(x, str) and isinstance(y, str) and isinstance(w, str) and isinstance(h, str)):
+            k = next(k for k in "xywh" if not isinstance(t[k], str))
+            raise DocumentError(f"tiles[{i}].{k} must be an expression string")
+        tiles.append({"x": x, "y": y, "w": w, "h": h})
 
     return {"generators": gens, "outer": {"w": outer["w"], "h": outer["h"]}, "tiles": tiles}
 

@@ -10,7 +10,10 @@ Inside the module the arithmetic is on integers.  A ``LinExpr`` holds one
 positive denominator and integer numerators, reduced so that their gcd
 with the denominator is 1; that form is canonical, so equality, hashing
 and the equality test of ``cmp`` compare ints, and a sum costs one gcd of
-the two denominators.  Each generator bracket is held as
+the two denominators.  ``LinExpr.__add__`` and ``index_sums`` share one
+routine that adds two stored forms; ``index_sums`` keys values and the
+sums of pairs by that form, so a sum equal to a given value is never
+built as an expression.  Each generator bracket is held as
 ``(lo_num, lo_den, hi_num, hi_den)`` and each expression caches its two
 reduced bounds in that form, so ``LinExpr.cmp`` orders disjoint pairs by
 cross-multiplication, and ``certified_order`` orders a list of values by
@@ -359,21 +362,6 @@ class LinExpr(Value):
         return self
 
     @classmethod
-    def _reduced(cls, table: GeneratorTable, den: int, items, bound: int) -> "LinExpr":
-        """The expression ``items / den`` from a positive ``den`` and
-        index-sorted ``(index, num)`` items, zeros allowed.  ``bound`` is
-        a multiple of every common factor of ``den`` and the numerators."""
-        nums = [kv for kv in items if kv[1]]
-        if not nums:
-            return cls._trusted(table, 1, ())
-        if bound != 1:
-            g = gcd(bound, *[v for _, v in nums])
-            if g != 1:
-                den //= g
-                nums = [(i, v // g) for i, v in nums]
-        return cls._trusted(table, den, tuple(nums))
-
-    @classmethod
     def constant(cls, table: GeneratorTable, value) -> "LinExpr":
         return cls(table, {0: _as_fraction(value)})
 
@@ -407,24 +395,7 @@ class LinExpr(Value):
                 return NotImplemented
         if self.table is not other.table:
             self._check_table(other)
-        den, other_den = self._den, other._den
-        if den == other_den:
-            g = den
-            out = dict(self._nums)
-            get = out.get
-            for i, b in other._nums:
-                out[i] = get(i, 0) + b
-        else:
-            # over the lcm, a common factor of the sum and the
-            # denominator divides g, as for two Fractions
-            g = gcd(den, other_den)
-            s, t = other_den // g, den // g
-            out = {i: a * s for i, a in self._nums}
-            get = out.get
-            for i, b in other._nums:
-                out[i] = get(i, 0) + b * t
-            den *= s
-        return LinExpr._reduced(self.table, den, sorted(out.items()), g)
+        return LinExpr._trusted(self.table, *_sum(self._den, self._nums, other._den, other._nums))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -440,7 +411,7 @@ class LinExpr(Value):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         p, den = scalar.numerator, self._den * scalar.denominator
-        return LinExpr._reduced(self.table, den, [(i, v * p) for i, v in self._nums], den)
+        return LinExpr._trusted(self.table, *_reduced(den, [(i, v * p) for i, v in self._nums], den))
 
     def __eq__(self, other):
         if not isinstance(other, LinExpr):
@@ -532,6 +503,86 @@ class LinExpr(Value):
 _set_table, _set_den, _set_nums, _set_hash, _set_enclosure = (
     LinExpr.__dict__[name].__set__ for name in LinExpr.__slots__
 )
+
+
+def _reduced(den: int, items, bound: int) -> tuple:
+    """The stored form ``(den, nums)`` of ``items / den``, from a positive
+    ``den`` and index-sorted ``(index, num)`` items, zeros allowed.
+    ``bound`` is a multiple of every common factor of ``den`` and the
+    numerators."""
+    nums = [kv for kv in items if kv[1]]
+    if not nums:
+        return 1, ()
+    if bound != 1:
+        g = gcd(bound, *[v for _, v in nums])
+        if g != 1:
+            den //= g
+            nums = [(i, v // g) for i, v in nums]
+    return den, tuple(nums)
+
+
+def _sum(den: int, nums: tuple, other_den: int, other_nums: tuple) -> tuple:
+    """The stored form ``(den, nums)`` of the sum of two stored forms."""
+    if den == other_den:
+        g = den
+        out = dict(nums)
+        get = out.get
+        for i, b in other_nums:
+            out[i] = get(i, 0) + b
+    else:
+        # over the lcm, a common factor of the sum and the
+        # denominator divides g, as for two Fractions
+        g = gcd(den, other_den)
+        s, t = other_den // g, den // g
+        out = {i: a * s for i, a in nums}
+        get = out.get
+        for i, b in other_nums:
+            out[i] = get(i, 0) + b * t
+        den *= s
+    return _reduced(den, sorted(out.items()), g)
+
+
+def index_sums(values, pairs) -> tuple:
+    """Index ``values``, then each pair's ``a`` and ``a + b``, by value.
+
+    ``values`` is a nonempty sequence and ``pairs`` an iterable of
+    ``(a, b)``, all over one table.  Returns ``(distinct, starts, ends)``:
+    the distinct values in first-seen order, and per pair the index in
+    ``distinct`` of ``a`` and of ``a + b``.  Values are keyed by their
+    stored form and each sum is computed as one, so a sum becomes an
+    expression only when it equals no given value; every other entry of
+    ``distinct`` is one of the given objects.
+    """
+    first = values[0]
+    table = first.table
+    index, distinct, starts, ends = {}, [], [], []  # index: stored form -> position
+    for v in values:
+        if v.table is not table:
+            first._check_table(v)
+        key = v._den, v._nums
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(v)
+    for a, b in pairs:
+        if a.table is not table or b.table is not table:
+            first._check_table(a)
+            first._check_table(b)
+        key = a._den, a._nums
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(distinct)
+            distinct.append(a)
+        elif distinct[i] is None:  # a sum seen before, now given
+            distinct[i] = a
+        key = _sum(a._den, a._nums, b._den, b._nums)
+        j = index.get(key)
+        if j is None:
+            j = index[key] = len(distinct)
+            distinct.append(None)
+        starts.append(i)
+        ends.append(j)
+    distinct = [LinExpr._trusted(table, *key) if v is None else v for key, v in zip(index, distinct)]
+    return distinct, starts, ends
 
 
 def certified_order(values) -> list:
@@ -647,7 +698,7 @@ def parse_expr(text: str, table: GeneratorTable) -> LinExpr:
         nums[idx] = nums[idx] + p if idx in nums else p
         pos = m.end()
         if pos == end:
-            return LinExpr._reduced(table, common, sorted(nums.items()), common)
+            return LinExpr._trusted(table, *_reduced(common, sorted(nums.items()), common))
 
 
 def _raise_parse_error(text: str, table: GeneratorTable, pos: int):

@@ -1,9 +1,12 @@
 """Rectangle tilings and their exact geometric validation.
 
-The validator orders the distinct x and y edge values (cuts) once per
-axis, by ``exactnum.certified_order``, then checks sides and bounds and
-sweeps the x-cuts left to right on integer cut ranks.  When a pair of
-cuts cannot be ordered, the side and bound checks run by certified
+The validator indexes the distinct x and y edge values (cuts) by
+``exactnum.index_sums``, on their integer stored form, so a right or top
+edge becomes an expression only when no tile starts there and it is
+neither 0 nor the outer side.  It orders the cuts once per axis, by
+``exactnum.certified_order``, then checks sides and bounds and sweeps
+the x-cuts left to right on integer cut ranks.  When a pair of cuts
+cannot be ordered, the side and bound checks run by certified
 comparison, so their failures are still reported before the pair is
 raised (``validate`` gives the argument and the cost).
 Between two neighbouring x-cuts lies a slab.  The validator accepts
@@ -20,7 +23,7 @@ from __future__ import annotations
 import operator
 
 from .errors import AmbiguousComparison
-from .exactnum import GeneratorTable, LinExpr, Value, certified_order
+from .exactnum import GeneratorTable, LinExpr, Value, certified_order, index_sums
 
 __all__ = [
     "Placement",
@@ -115,13 +118,18 @@ def is_square(p: Placement) -> bool:
     return p.w == p.h
 
 
+_X_W, _Y_H = operator.attrgetter("x", "w"), operator.attrgetter("y", "h")
+
+
 def _side_failures(t: Tiling, edges, zero_x, zero_y, outer_w, outer_h, cmp):
     """Nonpositive-side and out-of-bounds failures, in tile order.
 
-    ``edges`` holds each tile's (x, right, y, top), and ``cmp(a, b)`` is
-    negative, zero or positive as a < b, a == b or a > b: the certified
-    ``LinExpr.cmp`` on cut values, or a subtraction on cut ranks.  A side
-    is positive as its far edge lies past its near edge.
+    Run only to explain a failed rank check, or when a pair of cuts
+    cannot be ordered.  ``edges`` holds each tile's (x, right, y, top),
+    and ``cmp(a, b)`` is negative, zero or positive as a < b, a == b or
+    a > b: the certified ``LinExpr.cmp`` on cut values, or a subtraction
+    on cut ranks.  A side is positive as its far edge lies past its near
+    edge.
     """
     failures = []
     for name, e, z, value in (
@@ -160,6 +168,10 @@ def _ranks(order):
     return rank
 
 
+def _at(seq, indices) -> list:
+    return list(map(seq.__getitem__, indices))
+
+
 def validate(t: Tiling) -> ValidationReport:
     """Check that the tiles cut the outer rectangle exactly.
 
@@ -168,9 +180,11 @@ def validate(t: Tiling) -> ValidationReport:
     settle is not: the first one raises AmbiguousComparison naming the
     pair (tighten the generator enclosures and retry).  Failures come in
     a fixed order: sides, then bounds, then coverage; any side or bounds
-    failure ends the check before coverage.  Every tile's right and top
-    edge is built once, and equal cut values share one index, so each
-    distinct value's enclosure is evaluated once.
+    failure ends the check before coverage.  Each tile's right and top
+    edge is summed once on integers, by ``index_sums``, and equal cut
+    values share one index, so each distinct value's enclosure is
+    evaluated once.  An edge where a tile starts, or at 0 or the outer
+    side, as every edge of a valid tiling is, builds no expression.
 
     The distinct x and y cut values are ordered first, each axis by
     ``certified_order`` inside one ``try``.  The cases:
@@ -182,7 +196,11 @@ def validate(t: Tiling) -> ValidationReport:
       inside the sum of the chain's enclosures.  Each ``cmp`` the side
       and bounds checks would make therefore gives the rank
       comparison's answer, and those checks and the coverage sweep all
-      run on integer ranks.
+      run on integer ranks.  A tiling passes the side and bounds checks
+      exactly when each tile's near edge ranks below its far edge and
+      the least near and greatest far edge ranks lie inside the outer
+      ones, so the check is a few passes over rank lists;
+      ``_side_failures`` runs only to explain a failure.
     * An order raises on a pair of cuts.  The side and bounds checks
       run by ``cmp``, as they would before any sort: their failures are
       the report, or they raise on the first side or bounds pair they
@@ -210,54 +228,45 @@ def validate(t: Tiling) -> ValidationReport:
     sweep; a failing slab with c covered cells adds O(ny + c log c).
     """
     zero = LinExpr.zero(t.table)
-    xs = {zero: 0}  # cut value -> index, in first-seen order
-    ys = {zero: 0}
-    outer_w = xs.setdefault(t.outer_w, len(xs))
-    outer_h = ys.setdefault(t.outer_h, len(ys))
-    edges = []
-    for p in t.tiles:
-        right, top = p.right, p.top
-        edges.append((
-            xs.setdefault(p.x, len(xs)),
-            xs.setdefault(right, len(xs)),
-            ys.setdefault(p.y, len(ys)),
-            ys.setdefault(top, len(ys)),
-        ))
-    x_vals, y_vals = list(xs), list(ys)
+    x_vals, x_lo, x_hi = index_sums((zero, t.outer_w), map(_X_W, t.tiles))
+    y_vals, y_lo, y_hi = index_sums((zero, t.outer_h), map(_Y_H, t.tiles))
     try:
         x_order, y_order = certified_order(x_vals), certified_order(y_vals)
     except AmbiguousComparison:
-        edge_vals = [(x_vals[a], x_vals[b], y_vals[c], y_vals[d]) for a, b, c, d in edges]
-        failures = _side_failures(
-            t, edge_vals, zero, zero, x_vals[outer_w], y_vals[outer_h], LinExpr.cmp
-        )
+        edges = zip(_at(x_vals, x_lo), _at(x_vals, x_hi), _at(y_vals, y_lo), _at(y_vals, y_hi))
+        failures = _side_failures(t, edges, zero, zero, t.outer_w, t.outer_h, LinExpr.cmp)
         if failures:
             return ValidationReport(tuple(failures))
         raise
     x_rank, y_rank = _ranks(x_order), _ranks(y_order)
-    edges = [(x_rank[a], x_rank[b], y_rank[c], y_rank[d]) for a, b, c, d in edges]
-    failures = _side_failures(
-        t, edges, x_rank[0], y_rank[0], x_rank[outer_w], y_rank[outer_h], operator.sub
-    )
-    if failures:
+    x, right = _at(x_rank, x_lo), _at(x_rank, x_hi)
+    y, top = _at(y_rank, y_lo), _at(y_rank, y_hi)
+    zero_x, zero_y = x_rank[0], y_rank[0]
+    outer_w, outer_h = x_rank[x_vals.index(t.outer_w)], y_rank[y_vals.index(t.outer_h)]
+    # every tile positive and inside puts the outer sides past zero too
+    if not (
+        all(map(operator.lt, x, right)) and all(map(operator.lt, y, top))
+        and zero_x <= min(x) and max(right) <= outer_w
+        and zero_y <= min(y) and max(top) <= outer_h
+    ):
+        failures = _side_failures(
+            t, zip(x, right, y, top), zero_x, zero_y, outer_w, outer_h, operator.sub
+        )
         return ValidationReport(tuple(failures))
-    x_cuts = [x_vals[i] for i in x_order]
-    y_cuts = [y_vals[i] for i in y_order]
 
-    nx, ny = len(x_cuts) - 1, len(y_cuts) - 1
+    nx, ny = len(x_vals) - 1, len(y_vals) - 1
     starts = [[] for _ in range(nx + 1)]
     ends = [[] for _ in range(nx + 1)]
-    spans = []
-    for idx, (x, right, y, top) in enumerate(edges):
-        starts[x].append(idx)
-        ends[right].append(idx)
-        spans.append((y, top))
+    for idx, (lo, hi) in enumerate(zip(x, right)):
+        starts[lo].append(idx)
+        ends[hi].append(idx)
+    spans = list(zip(y, top))
 
     target = [0] * (ny + 1)
     target[0], target[ny] = 1, -1
     net = [0] * (ny + 1)
     bad = 2  # net starts all zero: wrong at 0 and at ny
-    active = set()
+    active, failures = set(), []
 
     def bump(j, d):
         nonlocal bad
@@ -284,7 +293,7 @@ def validate(t: Tiling) -> ValidationReport:
             for j in range(lo, hi):
                 column[j].append(idx)
         for j, owners in enumerate(column):
-            cell_w = {"cell_x": x_cuts[i], "cell_y": y_cuts[j]}
+            cell_w = {"cell_x": x_vals[x_order[i]], "cell_y": y_vals[y_order[j]]}
             if not owners:
                 failures.append(Failure("gap", cell=(i, j), witness=cell_w))
             elif len(owners) > 1:

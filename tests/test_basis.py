@@ -19,6 +19,7 @@ from sqtile import (
     LinExpr,
     NotInSpan,
     Placement,
+    TableMismatch,
     Tiling,
     build_tiling,
     decide,
@@ -97,6 +98,25 @@ def test_input_coordinates_are_read_only_and_survive_copies(table):
         assert other.elements == basis.elements and other.has_t0 == basis.has_t0
         for p in lengths + [parse_expr("5 + 1*sqrt2 - 7/2*sqrt3", table)]:
             assert other.coords(p) == basis.coords(p)
+
+
+def test_coords_refuse_a_length_over_another_table():
+    """A table of the same size must not alias: 1*sqrt3 over {sqrt3}
+    would otherwise read the coordinates of 1*sqrt2 over {sqrt2}, and its
+    y area at -1 would come out -1.  An equal table, as a pickled copy
+    carries, still answers."""
+    sqrt2, sqrt3 = tight_table(2), tight_table(3)
+    one = LinExpr.constant(sqrt2, 1)
+    basis = extract_basis([one, parse_expr("1*sqrt2", sqrt2)])
+    other = parse_expr("1*sqrt3", sqrt3)
+    with pytest.raises(TableMismatch):
+        basis.coords(other)
+    with pytest.raises(TableMismatch):
+        y_area(one, other, basis, -1)
+    copied = pickle.loads(pickle.dumps(parse_expr("1 + 1*sqrt2", sqrt2)))
+    assert copied.table is not sqrt2
+    assert basis.coords(copied) == (1, 1)
+    assert y_area(one, copied, basis, -1) == 0
 
 
 def test_coords_st_examples(table):

@@ -100,6 +100,20 @@ def test_parse_document_schema_errors():
     except DocumentError as exc:
         err = exc
     assert err is not None and err.line == 2
+    # the tile schema, in full text; a second tile is named by its index
+    good = '{"x": "0", "y": "0", "w": "1", "h": "1"}'
+    for tile, message in (
+        ('["0", "0", "1", "1"]', "tiles[1] must be an object with exactly the keys x, y, w, h"),
+        ('{"x": "0", "y": "0", "w": "1", "h": "1", "z": "0"}',
+         "tiles[1] must be an object with exactly the keys x, y, w, h"),
+        ('{"x": "0", "y": "0", "w": "1"}', "tiles[1] must be an object with exactly the keys x, y, w, h"),
+        ('{"x": "0", "y": "0", "w": 1, "h": "1"}', "tiles[1].w must be an expression string"),
+        ('{"h": 1, "x": "0", "y": ["0"], "w": "1"}', "tiles[1].y must be an expression string"),
+    ):
+        text = f'{{"outer": {{"w": "1", "h": "1"}}, "tiles": [{good}, {tile}]}}'
+        with pytest.raises(DocumentError) as info:
+            parse_document(text)
+        assert str(info.value) == message
 
 
 def test_declared_known_symbol_gets_default_enclosure():

@@ -342,11 +342,14 @@ def test_validate_comparisons_are_n_log_n(monkeypatch, n):
     certified comparison: the spiral's cuts have disjoint enclosures, so
     every neighbouring pair of the lower-bound order is confirmed by
     cross-multiplication.  It fills one enclosure per distinct cut value,
-    n + 1 or n + 2 fills."""
+    n + 1 or n + 2 fills.  Every right and top edge of a valid tiling is
+    a cut value already seen, so ``validate`` adds no two expressions and
+    builds none but its zero."""
     doc = workloads.log_cabin(random.Random(n), n)
     _, t = build_tiling(parse_document(doc.data))
-    counts = {"cmp": 0, "fills": 0}
-    cmp, bounds = LinExpr.cmp, LinExpr._bounds
+    counts = {"cmp": 0, "fills": 0, "add": 0, "built": 0}
+    cmp, bounds, add = LinExpr.cmp, LinExpr._bounds, LinExpr.__add__
+    init, trusted = LinExpr.__init__, LinExpr._trusted.__func__
 
     def counted_cmp(self, other):
         counts["cmp"] += 1
@@ -356,11 +359,28 @@ def test_validate_comparisons_are_n_log_n(monkeypatch, n):
         counts["fills"] += self._enclosure is None
         return bounds(self)
 
+    def counted_add(self, other):
+        counts["add"] += 1
+        return add(self, other)
+
+    def counted_init(self, *args):
+        counts["built"] += 1
+        init(self, *args)
+
+    def counted_trusted(cls, *args):
+        counts["built"] += 1
+        return trusted(cls, *args)
+
     monkeypatch.setattr(LinExpr, "cmp", counted_cmp)
     monkeypatch.setattr(LinExpr, "_bounds", counted_bounds)
+    monkeypatch.setattr(LinExpr, "__add__", counted_add)
+    monkeypatch.setattr(LinExpr, "__init__", counted_init)
+    monkeypatch.setattr(LinExpr, "_trusted", classmethod(counted_trusted))
     assert validate(t).is_valid
     assert counts["cmp"] == 0
     assert counts["fills"] <= n + 2
+    assert counts["add"] == 0
+    assert counts["built"] == 1
 
 
 def test_validate_memory_is_linear_in_tiles():
