@@ -107,9 +107,7 @@ def _reduce(rows, scale, p: LinExpr, width: int):
     ``scale``, as the module docstring states, so one pass
     V = scale * P - sum_j P[pivot_j] * R_j zeroes every pivot of P.
     """
-    vector = [0] * (len(p.table) + width)
-    for i, v in p._nums:
-        vector[i] = v
+    vector = list(p._nums) + [0] * width
     out = [scale * v for v in vector]
     for pivot, row in rows:
         f = vector[pivot]

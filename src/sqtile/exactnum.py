@@ -7,13 +7,16 @@ precision, always canonical).  Everything is exact; floating point never
 enters any decision.
 
 Inside the module the arithmetic is on integers.  A ``LinExpr`` holds one
-positive denominator and integer numerators, reduced so that their gcd
-with the denominator is 1; that form is canonical, so equality, hashing
-and the equality test of ``cmp`` compare ints, and a sum costs one gcd of
-the two denominators.  ``LinExpr.__add__`` and ``index_sums`` share one
-routine that adds two stored forms; ``index_sums`` keys values and the
-sums of pairs by that form, so a sum equal to a given value is never
-built as an expression.  Each generator bracket is held as
+positive denominator and a dense tuple of one integer numerator per table
+generator, zeros included, reduced so that their gcd with the
+denominator is 1; that form is canonical, so equality, hashing and the
+equality test of ``cmp`` compare ints.  A sum over one denominator costs
+one elementwise addition and one gcd of the denominator and the
+numerators.  A value costs one int per generator, used or not, so a
+table holds at most ``MAX_GENERATORS``.  ``LinExpr.__add__`` and
+``index_sums`` share one routine that adds two stored forms;
+``index_sums`` keys values and the sums of pairs by that form, so a sum
+equal to a given value is never built as an expression.  Each generator bracket is held as
 ``(lo_num, lo_den, hi_num, hi_den)`` and each expression caches its two
 reduced bounds in that form, so ``LinExpr.cmp`` orders disjoint pairs by
 cross-multiplication, and ``certified_order`` orders a list of values by
@@ -32,15 +35,21 @@ empty text, or the term's first fault, with its column and token.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
 from types import MappingProxyType
 
 from .errors import AmbiguousComparison, DocumentError, TableMismatch, clip
 
 LESS, EQUAL, GREATER = -1, 0, 1
+
+# Every value stores one numerator per generator of its table, used or
+# not, so the table size bounds the cost of each value.
+MAX_GENERATORS = 32
 
 RATIONAL_PATTERN = r"-?[0-9]+(?:/[0-9]+)?"  # not \d, which matches every script's digits
 IDENT_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
@@ -242,9 +251,10 @@ class GeneratorTable(Value):
     """Ordered generator list with the implicit unit generator first.
 
     Index 0 is always the unit (symbol "1", enclosure [1, 1]); user
-    generators follow in declaration order.  The first ``sqrtN`` that is
-    rational (N = m^2) or a rational multiple of an earlier ``sqrtM``
-    (N*M = r^2, so sqrtN = r/M*sqrtM) is an input error.  Equality,
+    generators follow in declaration order, at most ``MAX_GENERATORS`` of
+    them.  The first ``sqrtN`` that is rational (N = m^2) or a rational
+    multiple of an earlier ``sqrtM`` (N*M = r^2, so sqrtN = r/M*sqrtM) is
+    an input error.  Equality,
     hashing, ``repr``, copy and pickle go by the generators alone; the
     symbol index is a read-only view.
     """
@@ -253,6 +263,10 @@ class GeneratorTable(Value):
 
     def __init__(self, generators=()):
         gens = tuple(generators)
+        if len(gens) > MAX_GENERATORS:
+            raise DocumentError(
+                f"a generator table holds at most {MAX_GENERATORS} generators, got {len(gens)}"
+            )
         seen = {UNIT_SYMBOL}
         for g in gens:
             if g.symbol in seen:
@@ -317,10 +331,11 @@ class GeneratorTable(Value):
 class LinExpr(Value):
     """An exact Q-linear combination of table generators plus the unit.
 
-    Stored as one positive denominator ``_den`` and index-sorted integer
-    numerators ``_nums = ((index, num), ...)``, none of them 0, reduced so
-    that ``gcd(_den, *nums) == 1``.  That form is canonical: equality
-    (with the table) and hashing compare ints.  Arithmetic is exact, with
+    Stored as one positive denominator ``_den`` and a tuple ``_nums`` of
+    one integer numerator per table generator, in table order, zeros
+    included, reduced so that ``gcd(_den, *_nums) == 1``; zero is
+    ``(1, (0, ..., 0))``.  That form is canonical: equality (with the
+    table) and hashing compare ints.  Arithmetic is exact, with
     the expression as left operand (``e * 2``, ``e - 1``), and only mixes
     expressions over the same table.  The hash and the enclosure are
     computed on first use and kept in write-once slots; the value itself
@@ -330,19 +345,17 @@ class LinExpr(Value):
     __slots__ = ("table", "_den", "_nums", "_hash", "_enclosure")
 
     def __init__(self, table: GeneratorTable, coeffs=None):
-        items = []
-        if coeffs:
-            n = len(table)
-            for idx in sorted(coeffs):
-                c = _as_fraction(coeffs[idx])
-                if not 0 <= idx < n:
-                    raise ValueError(f"generator index {idx} out of range")
-                if c != 0:
-                    items.append((idx, c))
+        n = len(table)
+        fracs = [Fraction(0)] * n
+        for idx in sorted(coeffs or ()):
+            c = _as_fraction(coeffs[idx])
+            if not 0 <= idx < n:
+                raise ValueError(f"generator index {idx} out of range")
+            fracs[idx] = c
         # each Fraction is reduced, so over the lcm of their denominators
         # the numerators share no factor with it
-        den = lcm(*(c.denominator for _, c in items))
-        nums = tuple((i, c.numerator * (den // c.denominator)) for i, c in items)
+        den = lcm(*(c.denominator for c in fracs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in fracs)
         super().__init__(table, den, nums, None, None)
 
     def __reduce__(self):
@@ -372,16 +385,16 @@ class LinExpr(Value):
     @property
     def coeffs(self) -> dict:
         d = self._den
-        return {i: Fraction(v, d) for i, v in self._nums}
+        return {i: Fraction(v, d) for i, v in enumerate(self._nums) if v}
 
     @property
     def is_zero(self) -> bool:
-        return not self._nums
+        return not any(self._nums)
 
     def constant_value(self) -> Fraction:
-        if any(i != 0 for i, _ in self._nums):
+        if any(self._nums[1:]):
             raise ValueError(f"{self} is not a constant expression")
-        return Fraction(self._nums[0][1], self._den) if self._nums else Fraction(0)
+        return Fraction(self._nums[0], self._den)
 
     def _check_table(self, other: "LinExpr"):
         if self.table != other.table:
@@ -405,13 +418,13 @@ class LinExpr(Value):
         return self + (-other)
 
     def __neg__(self):
-        return LinExpr._trusted(self.table, self._den, tuple((i, -v) for i, v in self._nums))
+        return LinExpr._trusted(self.table, self._den, tuple([-v for v in self._nums]))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         p, den = scalar.numerator, self._den * scalar.denominator
-        return LinExpr._trusted(self.table, *_reduced(den, [(i, v * p) for i, v in self._nums], den))
+        return LinExpr._trusted(self.table, *_reduced(den, tuple([v * p for v in self._nums]), den))
 
     def __eq__(self, other):
         if not isinstance(other, LinExpr):
@@ -433,16 +446,15 @@ class LinExpr(Value):
         """The cached enclosure as reduced integers ``(lo_num, lo_den,
         hi_num, hi_den)``, denominators positive, filled on first use.
 
-        Both bounds are summed over the numerators in one pass (a
+        Both bounds are summed over the nonzero numerators in one pass (a
         negative numerator swaps the bracket ends), then divided by the
         denominator and reduced once.
         """
         b = self._enclosure
         if b is None:
-            brackets = self.table._brackets
             lo_n, lo_d, hi_n, hi_d = 0, 1, 0, 1
-            for i, p in self._nums:
-                ln, ld, hn, hd = brackets[i]
+            nums = self._nums
+            for p, (ln, ld, hn, hd) in compress(zip(nums, self.table._brackets), nums):
                 if p < 0:
                     ln, ld, hn, hd = hn, hd, ln, ld
                 lo_n, lo_d = lo_n * ld + p * ln * lo_d, lo_d * ld
@@ -505,41 +517,28 @@ _set_table, _set_den, _set_nums, _set_hash, _set_enclosure = (
 )
 
 
-def _reduced(den: int, items, bound: int) -> tuple:
-    """The stored form ``(den, nums)`` of ``items / den``, from a positive
-    ``den`` and index-sorted ``(index, num)`` items, zeros allowed.
-    ``bound`` is a multiple of every common factor of ``den`` and the
-    numerators."""
-    nums = [kv for kv in items if kv[1]]
-    if not nums:
-        return 1, ()
+def _reduced(den: int, nums: tuple, bound: int) -> tuple:
+    """The stored form ``(den, nums)`` of ``nums / den``, from a positive
+    ``den`` and a dense numerator tuple.  ``bound`` is a multiple of every
+    common factor of ``den`` and the numerators; it is ``den`` whenever
+    the numerators may all be 0, so that zero reduces to ``(1, nums)``."""
     if bound != 1:
-        g = gcd(bound, *[v for _, v in nums])
+        g = gcd(bound, *nums)
         if g != 1:
-            den //= g
-            nums = [(i, v // g) for i, v in nums]
-    return den, tuple(nums)
+            return den // g, tuple([v // g for v in nums])
+    return den, nums
 
 
 def _sum(den: int, nums: tuple, other_den: int, other_nums: tuple) -> tuple:
     """The stored form ``(den, nums)`` of the sum of two stored forms."""
     if den == other_den:
-        g = den
-        out = dict(nums)
-        get = out.get
-        for i, b in other_nums:
-            out[i] = get(i, 0) + b
-    else:
-        # over the lcm, a common factor of the sum and the
-        # denominator divides g, as for two Fractions
-        g = gcd(den, other_den)
-        s, t = other_den // g, den // g
-        out = {i: a * s for i, a in nums}
-        get = out.get
-        for i, b in other_nums:
-            out[i] = get(i, 0) + b * t
-        den *= s
-    return _reduced(den, sorted(out.items()), g)
+        return _reduced(den, tuple(map(operator.add, nums, other_nums)), den)
+    # over the lcm, a common factor of the sum and the denominator divides
+    # g, as for two Fractions; the sum is not 0, as the forms of x and -x
+    # share their denominator
+    g = gcd(den, other_den)
+    s, t = other_den // g, den // g
+    return _reduced(den * s, tuple([a * s + b * t for a, b in zip(nums, other_nums)]), g)
 
 
 def index_sums(values, pairs) -> tuple:
@@ -658,13 +657,14 @@ _SCAN_RE = re.compile(rf"(?:\s+|{RATIONAL_PATTERN}|{IDENT_PATTERN}|[+\-*])*")
 def parse_expr(text: str, table: GeneratorTable) -> LinExpr:
     """Parse an expression over ``table`` into a LinExpr.
 
-    Each term costs one match and goes onto one common denominator, on
-    integers; the sum is reduced once at the end.  Errors carry the
+    Each term costs one match.  At the end every term goes, on integers,
+    onto the lcm of their denominators, into one numerator per table
+    generator, and the sum is reduced once.  Errors carry the
     1-based column and the offending token.
     """
     index = table._index
-    nums: dict[int, int] = {}
-    common = 1  # the denominator of every entry of nums
+    terms = []  # (index, num, den) of each term
+    common = 1  # the lcm of the terms' denominators
     pos, end = 0, len(text)
     while True:
         m = _TERM_RE.match(text, pos)
@@ -689,16 +689,15 @@ def parse_expr(text: str, table: GeneratorTable) -> LinExpr:
         idx = 0 if sym is None else index.get(sym)
         if idx is None:
             _raise_parse_error(text, table, pos)
-        if q != common:
-            if common % q:
-                s = q // gcd(common, q)
-                common *= s
-                nums = {i: v * s for i, v in nums.items()}
-            p *= common // q
-        nums[idx] = nums[idx] + p if idx in nums else p
+        if common % q:
+            common *= q // gcd(common, q)
+        terms.append((idx, p, q))
         pos = m.end()
         if pos == end:
-            return LinExpr._trusted(table, *_reduced(common, sorted(nums.items()), common))
+            nums = [0] * len(table._brackets)  # one numerator per generator
+            for idx, p, q in terms:
+                nums[idx] += p * (common // q)
+            return LinExpr._trusted(table, *_reduced(common, tuple(nums), common))
 
 
 def _raise_parse_error(text: str, table: GeneratorTable, pos: int):

@@ -40,14 +40,6 @@ class Placement(Value):
 
     __slots__ = ("x", "y", "w", "h")
 
-    @property
-    def right(self) -> LinExpr:
-        return self.x + self.w
-
-    @property
-    def top(self) -> LinExpr:
-        return self.y + self.h
-
 
 class Tiling(Value):
     """An outer rectangle with a nonempty list of tile placements."""

@@ -747,6 +747,20 @@ def test_cli_document_declaring_a_symbol_twice_exit_2(tmp_path, capsys):
         assert _input_error(capsys, "validate", twice, *gen) == "duplicate generator symbol 'g'"
 
 
+def test_cli_generator_limit_exit_2(tmp_path, capsys):
+    """A table holds at most 32 generators, the built-ins of ``decide``
+    and ``analyze-good`` included."""
+    limit = "a generator table holds at most 32 generators, got 33"
+    gens = [(f"g{i}", "1", "2") for i in range(33)]
+    for count, code in ((32, 0), (33, 2)):
+        path = _write(tmp_path, f"wide{count}.tiling", gens[:count], ("1", "1"), [("0", "0", "1", "1")])
+        assert run(capsys, "validate", path)[0] == code
+    assert _input_error(capsys, "validate", path) == limit
+    flags = [arg for i in range(30) for arg in ("--gen", f"g{i}=[1,2]")]
+    assert run(capsys, "decide", "--width", "1", "--height", "2", *flags[2:])[0] == 0
+    assert _input_error(capsys, "decide", "--width", "1", "--height", "2", *flags) == limit
+
+
 def test_cli_overridden_document_bracket_is_still_checked(tmp_path, capsys):
     bad = _write(tmp_path, "bad.tiling", [("g", "x", "2")], ("1", "1"), [("0", "0", "1", "1")])
     for gen in ((), ("--gen", "g=[1,2]")):

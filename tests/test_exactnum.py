@@ -46,7 +46,7 @@ from sqtile import (
 )
 
 from sqtile.cli import DEFAULT_ENCLOSURES
-from sqtile.exactnum import rational_text
+from sqtile.exactnum import MAX_GENERATORS, rational_text
 
 from conftest import bouwkamp_tiling, tight_enclosure, tight_table, workloads
 
@@ -202,6 +202,18 @@ def test_table_uniqueness_and_lookup(table):
     g = Generator("g", Fraction(1), Fraction(2))
     with pytest.raises(DocumentError):
         GeneratorTable([g, g])
+
+
+def test_table_holds_at_most_max_generators():
+    """Every value stores one numerator per generator, so the table size
+    is bounded; the unit is not counted."""
+    gens = [Generator(f"g{i}", Fraction(i + 1), Fraction(i + 2)) for i in range(MAX_GENERATORS + 1)]
+    table = GeneratorTable(gens[:MAX_GENERATORS])
+    assert len(table) == MAX_GENERATORS + 1 == 33
+    assert parse_expr(f"1*g{MAX_GENERATORS - 1}", table).eval_interval() == (Fraction(32), Fraction(33))
+    with pytest.raises(DocumentError) as info:
+        GeneratorTable(gens)
+    assert str(info.value) == "a generator table holds at most 32 generators, got 33"
 
 
 def _root(n: int, symbol=None) -> Generator:
@@ -499,11 +511,10 @@ def _expr_text(table: GeneratorTable, terms) -> str:
 
 
 def _assert_canonical(e: LinExpr):
-    idx = [i for i, _ in e._nums]
+    assert len(e._nums) == len(e.table)
+    assert all(type(v) is int for v in e._nums)
     assert type(e._den) is int and e._den > 0
-    assert all(type(v) is int and v != 0 for _, v in e._nums)
-    assert idx == sorted(set(idx))
-    assert math.gcd(e._den, *(v for _, v in e._nums)) == 1
+    assert math.gcd(e._den, *e._nums) == 1
 
 
 def check_canonical_form(table: GeneratorTable, terms_a, terms_b, scalar: Fraction, k: int):
@@ -533,14 +544,19 @@ def _signed(digits):
     return st.builds(lambda n, neg: -n if neg else n, digits, st.booleans())
 
 
+# The largest table admitted; its terms use only its last three generators.
+WIDE_TABLE = GeneratorTable(Generator(f"g{i}", Fraction(i + 1), Fraction(i + 2)) for i in range(MAX_GENERATORS))
+
+
 @st.composite
 def canonical_cases(draw):
-    table = draw(st.sampled_from(KERNEL_TABLES))
+    table = draw(st.sampled_from(KERNEL_TABLES + (WIDE_TABLE,)))
+    first = len(table) - 3 if table is WIDE_TABLE else 0
     long_ints = st.integers(1, 80).flatmap(_digits)
     shared = draw(st.lists(long_ints, min_size=1, max_size=3))
     dens = st.one_of(st.sampled_from(shared), long_ints, st.integers(1, 4))
     nums = st.one_of(_signed(long_ints), st.integers(-3, 3))
-    terms = st.lists(st.tuples(st.integers(0, len(table) - 1), nums, dens), min_size=1, max_size=8)
+    terms = st.lists(st.tuples(st.integers(first, len(table) - 1), nums, dens), min_size=1, max_size=8)
     return table, draw(terms), draw(terms), draw(kernel_coeffs), draw(st.integers(1, 10**6))
 
 
@@ -550,6 +566,7 @@ def canonical_cases(draw):
 @example((KERNEL_TABLES[2], [(1, -1, 1), (1, 1, 1)], [(2, 6, 4)], Fraction(-4, 6), 7))  # -1*g + g
 # over denominators 12 and 6, the sqrt2 terms cancel in the sum
 @example((KERNEL_TABLES[0], [(1, 1, 6), (0, 1, 4)], [(1, -1, 6), (0, 1, 3)], Fraction(1), 1))
+@example((WIDE_TABLE, [(32, 1, 2), (31, -1, 3)], [(32, -1, 2), (31, 1, 3)], Fraction(5, 3), 2))  # sum 0
 def test_stored_form_matches_termwise_fraction_oracle(case):
     check_canonical_form(*case)
 

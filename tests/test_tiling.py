@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -26,7 +27,7 @@ from sqtile import (
 )
 
 from sqtile.cli import DEFAULT_ENCLOSURES
-from sqtile.exactnum import certified_order
+from sqtile.exactnum import MAX_GENERATORS, certified_order
 
 from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
 from test_validate_reference import reference_validate
@@ -130,7 +131,7 @@ def test_validate_evaluates_enclosures_of_cut_values_only(monkeypatch):
     zero = LinExpr.zero(t.table)
     cuts = {zero, t.outer_w, t.outer_h}
     for p in t.tiles:
-        cuts.update((p.x, p.right, p.y, p.top))
+        cuts.update((p.x, p.x + p.w, p.y, p.y + p.h))
     evaluated = []
     original = LinExpr._bounds
 
@@ -205,8 +206,8 @@ def _cut_values(t: Tiling):
     zero = LinExpr.zero(t.table)
     xs, ys = dict.fromkeys((zero, t.outer_w)), dict.fromkeys((zero, t.outer_h))
     for p in t.tiles:
-        xs.update(dict.fromkeys((p.x, p.right)))
-        ys.update(dict.fromkeys((p.y, p.top)))
+        xs.update(dict.fromkeys((p.x, p.x + p.w)))
+        ys.update(dict.fromkeys((p.y, p.y + p.h)))
     return list(xs), list(ys)
 
 
@@ -398,3 +399,26 @@ def test_validate_memory_is_linear_in_tiles():
         tracemalloc.stop()
     assert report.is_valid
     assert peak < 4_000_000
+
+
+def test_build_and_validate_memory_at_the_generator_limit():
+    """A 1,600-tile spiral over the largest table admitted, 32 generators
+    of which it uses the last two.  Every value stores one numerator per
+    generator, about 300 bytes for 33 of them, so the table size scales
+    the memory of build and validation; the bound pins what the limit
+    admits (about 2.2 MB measured)."""
+    doc = workloads.log_cabin(random.Random(1600), 1600)
+    raw = json.loads(doc.data)
+    unused = [{"symbol": f"g{i}", "lo": "1", "hi": "2"} for i in range(MAX_GENERATORS - 2)]
+    raw["generators"] = unused + [{"symbol": "sqrt2"}, {"symbol": "sqrt3"}]
+    compiled = parse_document(json.dumps(raw))
+    tracemalloc.start()
+    try:
+        table, t = build_tiling(compiled)
+        report = validate(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == MAX_GENERATORS + 1
+    assert report.is_valid
+    assert peak < 3_000_000

@@ -89,8 +89,8 @@ def _ref_side_failures(t: Tiling):
         for cond, lo, hi in (
             ("x >= 0", zero, p.x),
             ("y >= 0", zero, p.y),
-            ("right <= outer_w", p.right, t.outer_w),
-            ("top <= outer_h", p.top, t.outer_h),
+            ("right <= outer_w", p.x + p.w, t.outer_w),
+            ("top <= outer_h", p.y + p.h, t.outer_h),
         ):
             s = sign_of(hi - lo, f"tile {i} {cond}", (i,))
             if s is not None and s < 0:
@@ -106,8 +106,8 @@ def reference_validate(t: Tiling) -> ValidationReport:
         return ValidationReport(tuple(failures))
     zero = LinExpr.zero(t.table)
     try:
-        x_cuts = _ref_sorted_cuts([zero, t.outer_w] + [v for p in t.tiles for v in (p.x, p.right)])
-        y_cuts = _ref_sorted_cuts([zero, t.outer_h] + [v for p in t.tiles for v in (p.y, p.top)])
+        x_cuts = _ref_sorted_cuts([zero, t.outer_w] + [v for p in t.tiles for v in (p.x, p.x + p.w)])
+        y_cuts = _ref_sorted_cuts([zero, t.outer_h] + [v for p in t.tiles for v in (p.y, p.y + p.h)])
     except AmbiguousComparison as exc:
         return ValidationReport((Failure("ambiguous", witness={"detail": str(exc)}),))
     x_index = {v: i for i, v in enumerate(x_cuts)}
@@ -115,8 +115,8 @@ def reference_validate(t: Tiling) -> ValidationReport:
     nx, ny = len(x_cuts) - 1, len(y_cuts) - 1
     owners = [[[] for _ in range(ny)] for _ in range(nx)]
     for idx, p in enumerate(t.tiles):
-        for i in range(x_index[p.x], x_index[p.right]):
-            for j in range(y_index[p.y], y_index[p.top]):
+        for i in range(x_index[p.x], x_index[p.x + p.w]):
+            for j in range(y_index[p.y], y_index[p.y + p.h]):
                 owners[i][j].append(idx)
     for i in range(nx):
         for j in range(ny):
