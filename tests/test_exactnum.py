@@ -207,12 +207,10 @@ def test_table_uniqueness_and_lookup(table):
 def test_table_holds_at_most_max_generators():
     """Every value stores one numerator per generator, so the table size
     is bounded; the unit is not counted."""
-    gens = [Generator(f"g{i}", Fraction(i + 1), Fraction(i + 2)) for i in range(MAX_GENERATORS + 1)]
-    table = GeneratorTable(gens[:MAX_GENERATORS])
-    assert len(table) == MAX_GENERATORS + 1 == 33
-    assert parse_expr(f"1*g{MAX_GENERATORS - 1}", table).eval_interval() == (Fraction(32), Fraction(33))
+    assert len(WIDE_TABLE) == MAX_GENERATORS + 1 == 33
+    assert parse_expr("1*g31", WIDE_TABLE).eval_interval() == (Fraction(32), Fraction(33))
     with pytest.raises(DocumentError) as info:
-        GeneratorTable(gens)
+        GeneratorTable(WIDE_TABLE.generators + (Generator("g32", Fraction(33), Fraction(34)),))
     assert str(info.value) == "a generator table holds at most 32 generators, got 33"
 
 
