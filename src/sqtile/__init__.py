@@ -2,7 +2,9 @@
 
 Decides whether a rectangle can be tiled by squares, produces
 impossibility certificates, validates user-supplied tilings, and
-constructs square tilings for rational side ratios.
+constructs square tilings for rational side ratios.  The command line
+and the .tiling document format live in ``sqtile.cli``, which
+``import sqtile`` does not load.
 """
 
 from .errors import (
@@ -32,7 +34,6 @@ from .tiling import (
     Placement,
     Tiling,
     ValidationReport,
-    is_square,
     validate,
 )
 from .hamel import (
@@ -54,26 +55,5 @@ from .dehn import (
     verify_certificate,
 )
 from .construct import continued_fraction, euclid_tiling
-# The CLI names load on first use (PEP 562), so importing the library
-# does not import cli.py and json, and ``python -m sqtile.cli`` runs
-# cli.py only once.
-_CLI_NAMES = frozenset({
-    "DEFAULT_ENCLOSURES",
-    "build_tiling",
-    "document_from_tiling",
-    "parse_document",
-    "render_svg",
-    "run_command",
-    "serialize_document",
-})
-
-
-def __getattr__(name):
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __version__ = "0.1.0"

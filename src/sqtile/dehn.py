@@ -16,7 +16,7 @@ from fractions import Fraction
 from .basis import extract_basis
 from .exactnum import LinExpr, Value, rational_text
 from .hamel import _y_area_sums, y_area
-from .tiling import Tiling, is_square, validate
+from .tiling import Tiling, validate
 
 __all__ = [
     "Certificate",
@@ -124,44 +124,51 @@ def refute_square_tiling(t: Tiling, *, y=DEFAULT_CERTIFICATE_Y) -> Refutation:
     """Find the first failure in a claimed square tiling of an
     incommensurable rectangle.
 
-    The witness has one of three kinds, checked in this fixed order so
-    witnesses are deterministic: GEOMETRY_INVALID (the tiles do not cut
-    the rectangle), TILE_NOT_SQUARE (the first tile with w != h), and
-    ADDITIVITY_VIOLATED (the tiles' y-areas at the certificate y do not
-    sum to the outer one).  At least one always fires; reporting "no
-    failure" is a hard error.  A comparison the enclosures cannot settle
-    raises AmbiguousComparison, from ``decide`` or ``validate``.  The
-    basis is extracted from every side, so every side is an extraction
-    input and ``y_area`` never meets a length outside the span.
+    The witness is the first of ``_refute``'s three kinds.  At least one
+    always fires; reporting "no failure" is a hard error.  Commensurable
+    sides raise ValueError: a square tiling of them exists, so there is
+    nothing to refute.  A comparison the enclosures cannot settle raises
+    AmbiguousComparison, from ``decide`` or ``validate``.
     """
-    return _refute(t, decide(t.outer_w, t.outer_h, y=y))
-
-
-def _refute(t: Tiling, verdict: Verdict) -> Refutation:
-    """``refute_square_tiling`` past its ``decide``, at the verdict's y.
-
-    Only a broken validator reaches ADDITIVITY_VIOLATED: over independent
-    generators no valid tiling of an incommensurable rectangle is all
-    squares.  It stays as the paper's third witness kind and a cross-check
-    on ``validate``."""
+    verdict = decide(t.outer_w, t.outer_h, y=y)
     if verdict.tilable:
         raise ValueError(
             f"outer sides are commensurable (ratio {rational_text(verdict.ratio)}); "
             "nothing to refute, use the constructive path"
         )
-    y = verdict.certificate.y
+    return _refute(t, verdict)
 
+
+def _refute(t: Tiling, verdict: Verdict) -> Refutation | None:
+    """The first failure of the claimed square tiling ``t``, given the
+    verdict on its outer sides, or None when a commensurable claim holds.
+
+    The kinds are checked in this fixed order, so witnesses are
+    deterministic: GEOMETRY_INVALID (the tiles do not cut the rectangle,
+    with ``validate``'s failures), TILE_NOT_SQUARE (the first tile with
+    w != h), and ADDITIVITY_VIOLATED (the tiles' y-areas at the
+    certificate's y do not sum to the outer one).  A commensurable claim
+    that passes the first two is a square tiling, and the answer is None.
+    Otherwise only a broken validator reaches ADDITIVITY_VIOLATED: over
+    independent generators no valid tiling of an incommensurable
+    rectangle is all squares.  It stays as the paper's third witness kind
+    and a cross-check on ``validate``.  The basis is extracted from every
+    side, so every side is an extraction input and ``y_area`` never meets
+    a length outside the span."""
     report = validate(t)
     if not report.is_valid:
         return Refutation(RefutationKind.GEOMETRY_INVALID, {"failures": report.as_dict()["failures"]})
 
     for i, p in enumerate(t.tiles):
-        if not is_square(p):
+        if p.w != p.h:
             return Refutation(
                 RefutationKind.TILE_NOT_SQUARE,
                 {"tile": i, "w": str(p.w), "h": str(p.h)},
             )
 
+    if verdict.tilable:
+        return None
+    y = verdict.certificate.y
     outer, total = _y_area_sums(t, extract_basis(t.side_lengths()), y)
     if outer != total:
         return Refutation(

@@ -5,10 +5,10 @@ The validator indexes the distinct x and y edge values (cuts) by
 edge becomes an expression only when no tile starts there and it is
 neither 0 nor the outer side.  It orders the cuts once per axis, by
 ``exactnum.certified_order``, then checks sides and bounds and sweeps
-the x-cuts left to right on integer cut ranks.  When a pair of cuts
-cannot be ordered, the side and bound checks run by certified
-comparison, so their failures are still reported before the pair is
-raised (``validate`` gives the argument and the cost).
+the x-cuts left to right on integer cut ranks.  Side and bound
+failures are always explained by certified comparison of cut values,
+so they are reported even when a pair of cuts cannot be ordered, before
+that pair is raised (``validate`` gives the argument and the cost).
 Between two neighbouring x-cuts lies a slab.  The validator accepts
 exactly when every slab is covered exactly once along its whole height
 and everything stays inside the outer rectangle.  Only a failing slab
@@ -31,7 +31,6 @@ __all__ = [
     "Failure",
     "ValidationReport",
     "validate",
-    "is_square",
 ]
 
 
@@ -105,35 +104,25 @@ class ValidationReport(Value):
         )
 
 
-def is_square(p: Placement) -> bool:
-    """True iff w and h are symbolically equal expressions."""
-    return p.w == p.h
-
-
 _X_W, _Y_H = operator.attrgetter("x", "w"), operator.attrgetter("y", "h")
 
 
-def _side_failures(t: Tiling, edges, zero_x, zero_y, outer_w, outer_h, cmp):
+def _side_failures(t: Tiling, edges, zero):
     """Nonpositive-side and out-of-bounds failures, in tile order.
 
-    Run only to explain a failed rank check, or when a pair of cuts
-    cannot be ordered.  ``edges`` holds each tile's (x, right, y, top),
-    and ``cmp(a, b)`` is negative, zero or positive as a < b, a == b or
-    a > b: the certified ``LinExpr.cmp`` on cut values, or a subtraction
-    on cut ranks.  A side is positive as its far edge lies past its near
-    edge.
+    The one explanation of a failed side or bounds check, by certified
+    ``LinExpr.cmp`` on cut values.  ``edges`` holds each tile's
+    (x, right, y, top).  A side is positive as its far edge lies past its
+    near edge.
     """
     failures = []
-    for name, e, z, value in (
-        ("outer_w", outer_w, zero_x, t.outer_w),
-        ("outer_h", outer_h, zero_y, t.outer_h),
-    ):
-        if cmp(e, z) <= 0:
+    for name, value in (("outer_w", t.outer_w), ("outer_h", t.outer_h)):
+        if value.cmp(zero) <= 0:
             failures.append(Failure("nonpositive_side", witness={"side": name, "value": value}))
     for i, (p, (x, right, y, top)) in enumerate(zip(t.tiles, edges)):
         before = len(failures)
         for name, e, hi, lo in (("w", p.w, right, x), ("h", p.h, top, y)):
-            if cmp(hi, lo) <= 0:
+            if hi.cmp(lo) <= 0:
                 failures.append(
                     Failure("nonpositive_side", tiles=(i,), witness={"side": name, "value": e})
                 )
@@ -141,12 +130,12 @@ def _side_failures(t: Tiling, edges, zero_x, zero_y, outer_w, outer_h, cmp):
         if len(failures) > before:
             continue
         for cond, lo, hi in (
-            ("x >= 0", zero_x, x),
-            ("y >= 0", zero_y, y),
-            ("right <= outer_w", right, outer_w),
-            ("top <= outer_h", top, outer_h),
+            ("x >= 0", zero, x),
+            ("y >= 0", zero, y),
+            ("right <= outer_w", right, t.outer_w),
+            ("top <= outer_h", top, t.outer_h),
         ):
-            if cmp(hi, lo) < 0:
+            if hi.cmp(lo) < 0:
                 failures.append(
                     Failure("out_of_bounds", tiles=(i,), witness={"constraint": cond, "x": p.x, "y": p.y})
                 )
@@ -185,20 +174,22 @@ def validate(t: Tiling) -> ValidationReport:
       certified LESS (confirmed on the lower-bound order, or compared by
       a ``cmp`` sort that succeeded), so by transitivity every pair of
       cuts certifies, since the difference of the ends of a chain lies
-      inside the sum of the chain's enclosures.  Each ``cmp`` the side
-      and bounds checks would make therefore gives the rank
-      comparison's answer, and those checks and the coverage sweep all
-      run on integer ranks.  A tiling passes the side and bounds checks
-      exactly when each tile's near edge ranks below its far edge and
-      the least near and greatest far edge ranks lie inside the outer
-      ones, so the check is a few passes over rank lists;
-      ``_side_failures`` runs only to explain a failure.
-    * An order raises on a pair of cuts.  The side and bounds checks
-      run by ``cmp``, as they would before any sort: their failures are
-      the report, or they raise on the first side or bounds pair they
-      cannot order.  Only when they pass is the cut pair re-raised, the
-      pair a ``cmp`` sort of the cuts in first-seen order meets first
-      (the x cuts before the y cuts).
+      inside the sum of the chain's enclosures.  Each ``cmp`` on two
+      cuts therefore gives the rank comparison's answer.  A tiling
+      passes the side and bounds checks exactly when each tile's near
+      edge ranks below its far edge and the least near and greatest far
+      edge ranks lie inside the outer ones, so the check is a few passes
+      over rank lists, and the coverage sweep runs on ranks too.  A
+      failed check is explained by ``_side_failures``, the one side and
+      bounds explanation, which compares the cut values by ``cmp``; no
+      comparison there can raise, so it lists the failures the ranks
+      would.
+    * An order raises on a pair of cuts.  ``_side_failures`` runs on the
+      same cut values, as it would before any sort: its failures are
+      the report, or it raises on the first side or bounds pair it
+      cannot order.  Only when it finds none is the cut pair re-raised,
+      the pair a ``cmp`` sort of the cuts in first-seen order meets
+      first (the x cuts before the y cuts).
 
     Coverage is one sweep over the x-cuts.  ``net[j]`` counts the active
     tiles (those spanning the current slab) whose y-span starts at y-cut
@@ -222,11 +213,14 @@ def validate(t: Tiling) -> ValidationReport:
     zero = LinExpr.zero(t.table)
     x_vals, x_lo, x_hi = index_sums((zero, t.outer_w), map(_X_W, t.tiles))
     y_vals, y_lo, y_hi = index_sums((zero, t.outer_h), map(_Y_H, t.tiles))
+
+    def edges():  # each tile's (x, right, y, top) cut values
+        return zip(_at(x_vals, x_lo), _at(x_vals, x_hi), _at(y_vals, y_lo), _at(y_vals, y_hi))
+
     try:
         x_order, y_order = certified_order(x_vals), certified_order(y_vals)
     except AmbiguousComparison:
-        edges = zip(_at(x_vals, x_lo), _at(x_vals, x_hi), _at(y_vals, y_lo), _at(y_vals, y_hi))
-        failures = _side_failures(t, edges, zero, zero, t.outer_w, t.outer_h, LinExpr.cmp)
+        failures = _side_failures(t, edges(), zero)
         if failures:
             return ValidationReport(tuple(failures))
         raise
@@ -241,10 +235,7 @@ def validate(t: Tiling) -> ValidationReport:
         and zero_x <= min(x) and max(right) <= outer_w
         and zero_y <= min(y) and max(top) <= outer_h
     ):
-        failures = _side_failures(
-            t, zip(x, right, y, top), zero_x, zero_y, outer_w, outer_h, operator.sub
-        )
-        return ValidationReport(tuple(failures))
+        return ValidationReport(tuple(_side_failures(t, edges(), zero)))
 
     nx, ny = len(x_vals) - 1, len(y_vals) - 1
     starts = [[] for _ in range(nx + 1)]

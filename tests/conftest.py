@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from sqtile import Generator, GeneratorTable, LinExpr, Placement, Tiling, parse_document
+from sqtile import Generator, GeneratorTable, LinExpr, Placement, Tiling
+from sqtile.cli import parse_document
 
 DATA = Path(__file__).parent / "data"
 

@@ -21,13 +21,12 @@ from sqtile import (
     Placement,
     TableMismatch,
     Tiling,
-    build_tiling,
     decide,
     extract_basis,
-    parse_document,
     parse_expr,
     y_area,
 )
+from sqtile.cli import build_tiling, parse_document
 
 from conftest import BOUWKAMP_CODES, combine, tight_enclosure, tight_table, workloads
 

@@ -24,19 +24,21 @@ from sqtile import (
     Certificate,
     DocumentError,
     InvalidTiling,
-    build_tiling,
-    document_from_tiling,
     euclid_tiling,
-    parse_document,
     parse_expr,
     refute_square_tiling,
-    render_svg,
-    run_command,
-    serialize_document,
     validate,
     verify_certificate,
 )
-from sqtile.cli import DEFAULT_ENCLOSURES
+from sqtile.cli import (
+    DEFAULT_ENCLOSURES,
+    build_tiling,
+    document_from_tiling,
+    parse_document,
+    render_svg,
+    run_command,
+    serialize_document,
+)
 from sqtile.dehn import RefutationKind
 
 from conftest import BOUWKAMP_CODES, DATA, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
@@ -903,22 +905,23 @@ def _write(tmp_path, name, generators, outer, tiles):
 
 
 def test_cli_verify_commensurable_non_square_tilings(tmp_path, capsys):
+    """A failed commensurable claim is refuted in the incommensurable
+    shape, minus the certificate: one refutation, the first that fires."""
     rect = _write(tmp_path, "rect.tiling", (), ("1", "2"), [("0", "0", "1", "2")])
-    assert run(capsys, "verify", rect) == (
-        1, "refuted: claimed square tiling is not one\n  non-square tiles: [0]\n"
-    )
-    code, out = run(capsys, "verify", rect, "--format", "json")
-    assert code == 1
-    assert json.loads(out) == {
-        "command": "verify", "exit_code": 1, "verdict": "refuted",
-        "failures": [], "tiles_not_square": [0],
-    }
     gap = _write(tmp_path, "gap.tiling", (), ("1", "2"), [("0", "0", "1", "1")])
-    assert run(capsys, "verify", gap) == (
-        1,
-        "refuted: claimed square tiling is not one\n"
-        '  {"kind": "gap", "tiles": [], "cell": [0, 1], "witness": {"cell_x": "0", "cell_y": "1"}}\n',
-    )
+    cell = {"kind": "gap", "tiles": [], "cell": [0, 1], "witness": {"cell_x": "0", "cell_y": "1"}}
+    for path, line, refutation in (
+        (rect, '  tile_not_square: {"tile": 0, "w": "1", "h": "2"}\n',
+         {"kind": "tile_not_square", "witness": {"tile": 0, "w": "1", "h": "2"}}),
+        (gap, '  geometry_invalid: {"failures": [{"kind": "gap", "tiles": [], "cell": [0, 1], '
+              '"witness": {"cell_x": "0", "cell_y": "1"}}]}\n',
+         {"kind": "geometry_invalid", "witness": {"failures": [cell]}}),
+    ):
+        assert run(capsys, "verify", path) == (1, "refuted: the claimed square tiling cannot be genuine\n" + line)
+        code, out = run(capsys, "verify", path, "--format", "json")
+        assert (code, json.loads(out)) == (
+            1, {"command": "verify", "exit_code": 1, "verdict": "refuted", "refutation": refutation}
+        )
 
 
 def test_cli_ambiguous_comparisons_exit_3(tmp_path, capsys):
@@ -1032,11 +1035,6 @@ def test_cli_import_leaves_argparse_and_gettext_unloaded():
 def test_import_leaves_cli_unloaded():
     proc = _python("-c", "import sys, sqtile; print('sqtile.cli' in sys.modules)")
     assert proc.stdout == "False\n"
-    from sqtile import cli, run_command
-
-    assert run_command is cli.run_command and sqtile.render_svg is cli.render_svg
-    with pytest.raises(AttributeError):
-        sqtile.no_such_name
 
 
 def test_cli_analyze_good_output_past_int_digit_limit(capsys):

@@ -14,7 +14,6 @@ from sqtile import (
     continued_fraction,
     euclid_tiling,
     extract_basis,
-    is_square,
     validate,
 )
 
@@ -64,7 +63,7 @@ def test_continued_fraction_round_trip(r):
 
 def test_euclid_tiling_examples():
     t = euclid_tiling(1, 1)
-    assert len(t.tiles) == 1 and is_square(t.tiles[0])
+    assert len(t.tiles) == 1 and t.tiles[0].w == t.tiles[0].h
 
     t = euclid_tiling(2, 3)
     assert len(t.tiles) == 3
@@ -100,7 +99,7 @@ def test_euclid_tiling_random_round_trip():
         w, h = rand_fraction(rng), rand_fraction(rng)
         t = euclid_tiling(w, h)
         assert validate(t).is_valid
-        assert all(is_square(p) for p in t.tiles)
+        assert all(p.w == p.h for p in t.tiles)
         ratio = max(w, h) / min(w, h)
         assert len(t.tiles) == sum(continued_fraction(ratio))
         # exact area bookkeeping

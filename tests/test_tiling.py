@@ -19,14 +19,11 @@ from sqtile import (
     LinExpr,
     Placement,
     Tiling,
-    build_tiling,
-    is_square,
-    parse_document,
     parse_expr,
     validate,
 )
 
-from sqtile.cli import DEFAULT_ENCLOSURES
+from sqtile.cli import DEFAULT_ENCLOSURES, build_tiling, parse_document
 from sqtile.exactnum import MAX_GENERATORS, certified_order
 
 from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
@@ -144,13 +141,6 @@ def test_validate_evaluates_enclosures_of_cut_values_only(monkeypatch):
     assert evaluated and all(e in cuts for e in evaluated)
     sides = {p.w for p in t.tiles} | {p.h for p in t.tiles}
     assert sides - cuts  # the spiral has sides that are no cut value
-
-
-def test_is_square(table):
-    e = lambda s: parse_expr(s, table)
-    assert is_square(Placement(e("0"), e("0"), e("2/3"), e("2/3")))
-    assert not is_square(Placement(e("0"), e("0"), e("1"), e("1*sqrt2")))
-    assert is_square(Placement(e("0"), e("0"), e("1 + 1*sqrt2"), e("1 + 1*sqrt2")))
 
 
 def test_empty_tiling_rejected(table):
@@ -311,11 +301,11 @@ def test_key_tie_falls_back_to_the_cmp_sort(monkeypatch):
         assert validate(t).as_dict() == reference_validate(t).as_dict()
 
 
-def _unorderable_tiling(with_tile_0: bool):
+def _unorderable_tiling(with_tile_0: bool, g=(Fraction(9, 10), Fraction(11, 10))):
     """A 2 x 1 rectangle in two rows, cut at x = 1*g above and x = 1
-    below, with g in [9/10, 11/10]: no enclosure orders those two cuts.
-    Tile 0, if present, has height -1/4."""
-    table = GeneratorTable([Generator("g", Fraction(9, 10), Fraction(11, 10))])
+    below, with g in [9/10, 11/10] by default: no enclosure orders those
+    two cuts.  Tile 0, if present, has height -1/4."""
+    table = GeneratorTable([Generator("g", *g)])
     e = lambda s: parse_expr(s, table)
     tiles = (
         Placement(e("0"), e("1/2"), e("1*g"), e("1/2")),
@@ -335,6 +325,19 @@ def test_side_failures_come_before_an_unorderable_cut_pair():
     ]
     with pytest.raises(AmbiguousComparison, match=r"cannot order 1 against 1\*g: "):
         validate(_unorderable_tiling(False))
+
+
+def test_side_failures_are_one_explanation_whether_cuts_order_or_not():
+    """Over g in [104/100, 106/100] the cuts order, so the failed rank
+    check is explained; over [9/10, 11/10] they do not.  Both go through
+    ``_side_failures`` and give the same report."""
+    narrow = (Fraction(104, 100), Fraction(106, 100))
+    assert validate(_unorderable_tiling(False, narrow)).is_valid
+    ordered = validate(_unorderable_tiling(True, narrow)).as_dict()
+    assert ordered == validate(_unorderable_tiling(True)).as_dict()
+    assert ordered["failures"] == [
+        {"kind": "nonpositive_side", "tiles": [0], "witness": {"side": "h", "value": "-1/4"}}
+    ]
 
 
 @pytest.mark.parametrize("n", [200, 400, 800, 1600])
