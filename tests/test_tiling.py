@@ -82,6 +82,8 @@ def test_validate_nonpositive_side(table):
     t = Tiling(e("1"), e("1"), (Placement(e("0"), e("0"), e("0"), e("1")),), table)
     report = validate(t)
     assert any(f.kind == "nonpositive_side" and f.tiles == (0,) for f in report.failures)
+    flat = Tiling(e("0"), e("1"), (Placement(e("0"), e("0"), e("1"), e("1")),), table)
+    assert validate(flat).failures[0].witness == {"side": "outer_w", "value": e("0")}
 
 
 def test_validate_ambiguous_raises():
