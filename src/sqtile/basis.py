@@ -29,9 +29,9 @@ nonzero generator coordinate and r = U[pivot]; each old row becomes
 then a minor of the relation matrix, so by Sylvester's identity that
 division is exact (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968), and no
-gcd is taken.  Values become Fractions, which reduce them, only where
-they leave the module: in the coordinates of each distinct input, which
-``extract_basis`` pads to the basis width once, and in ``coords``.
+gcd is taken.  Each distinct input keeps its coordinates as integers,
+V_coord padded to the basis width over d; they become Fractions, which
+reduce them, only when ``coords`` (one each) or ``coords_st`` (two) asks.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ class Basis(Value):
     ``elements[0]`` is s0 and, in the incommensurable case, ``elements[1]``
     is t0.  ``coords`` solves for the unique representation of any length
     in the span.  ``known`` maps each distinct extraction input to its
-    coordinates; the basis keeps it as a read-only view, which answers
-    ``coords`` for those inputs.  Two bases are equal only when they are
-    the same object.
+    coordinates as integer numerators and one denominator; the basis
+    keeps it as a read-only view, which answers ``coords`` for those
+    inputs.  Two bases are equal only when they are the same object.
     """
 
     __slots__ = ("elements", "_rows", "_scale", "has_t0", "_known")
@@ -78,6 +78,11 @@ class Basis(Value):
         elements.  Extraction inputs are answered from the map the basis
         was built with.
         """
+        nums, d = self._coords(p)
+        return tuple(Fraction(v, d) for v in nums)
+
+    def _coords(self, p: LinExpr) -> tuple:
+        """``coords`` of ``p`` as integer numerators over one denominator."""
         if p.table is not self.elements[0].table:
             self.elements[0]._check_table(p)
         known = self._known.get(p)
@@ -87,7 +92,7 @@ class Basis(Value):
         vector, d = _reduce(self._rows, self._scale, p, len(self.elements))
         if any(vector[:n]):
             raise NotInSpan(f"{p} is not in the span of the basis")
-        return tuple(Fraction(v, d) for v in vector[n:])
+        return vector[n:], d
 
     def coords_st(self, p: LinExpr) -> tuple:
         """The (s0, t0) coordinate pair of ``p``'s unique representation.
@@ -95,8 +100,13 @@ class Basis(Value):
         When the basis has no t0 (commensurable extraction), the t0
         coordinate is 0 for every length in the span.
         """
-        c = self.coords(p)
-        return c[0], c[1] if self.has_t0 else Fraction(0)
+        a, b, d = self._st(p)
+        return Fraction(a, d), Fraction(b, d)
+
+    def _st(self, p: LinExpr) -> tuple:
+        """``coords_st`` of ``p`` as two integer numerators and a denominator."""
+        nums, d = self._coords(p)
+        return nums[0], nums[1] if self.has_t0 else 0, d
 
 
 def _reduce(rows, scale, p: LinExpr, width: int):
@@ -149,21 +159,21 @@ def extract_basis(lengths) -> Basis:
     n = len(table)
     elements: list[LinExpr] = []
     rows, scale = (), 1
-    seen: dict[LinExpr, list[Fraction]] = {}  # coordinates of each distinct length
+    seen: dict[LinExpr, tuple] = {}  # (numerators, denominator) of each distinct length
     for pos, p in enumerate(lengths):
         if p not in seen:
             k = len(elements)
             vector, d = _reduce(rows, scale, p, k)
             pivot = next((i for i in range(n) if vector[i]), None)
             if pivot is None:  # in the span of the already selected elements
-                seen[p] = [Fraction(v, d) for v in vector[n:]]
+                seen[p] = vector[n:], d
             else:  # independent: underline p as a new element
                 elements.append(p)
                 rows, scale = _pivot_on(rows, scale, pivot, (*vector, -d))
-                seen[p] = [Fraction(0)] * k + [Fraction(1)]
+                seen[p] = [0] * k + [1], 1
         if pos == 1:  # t0 is selected only if it is not s0 or in its span
             has_t0 = len(elements) == 2
 
-    pad = [Fraction(0)] * len(elements)
-    known = {p: tuple(c + pad[len(c):]) for p, c in seen.items()}
+    pad = [0] * len(elements)
+    known = {p: (tuple(c + pad[len(c):]), d) for p, (c, d) in seen.items()}
     return Basis(elements, rows, scale, has_t0, known)

@@ -16,9 +16,10 @@ numerators.  A value costs one int per generator, used or not, so a
 table holds at most ``MAX_GENERATORS``.  ``LinExpr.__add__`` and
 ``index_sums`` share one routine that adds two stored forms;
 ``index_sums`` keys values and the sums of pairs by that form, so a sum
-equal to a given value is never built as an expression.  Each generator bracket is held as
-``(lo_num, lo_den, hi_num, hi_den)`` and each expression caches its two
-reduced bounds in that form, so ``LinExpr.cmp`` orders disjoint pairs by
+equal to a given value is never built as an expression.  Each generator
+bracket is held as ``(lo_num, lo_den, hi_num, hi_den)`` and each
+expression caches its two bounds in that form, summed on integers and
+never reduced, so ``LinExpr.cmp`` orders disjoint pairs by
 cross-multiplication, and ``certified_order`` orders a list of values by
 one integer sort of their lower bounds with each neighbouring pair
 confirmed (a ``cmp`` sort only after a tie or an unsettled pair).  Every
@@ -99,7 +100,8 @@ class Value:
     """Base of the immutable values: their ``__slots__``, in order, are
     their fields, filled once by the constructor.  Equality (same type),
     hashing and ``repr`` go by field.  Copy and pickle rebuild through the
-    constructor, as the default slot restore writes through __setattr__."""
+    constructor, as the default slot restore writes through __setattr__.
+    ``Placement`` (one per tile) and ``LinExpr._trusted`` use slot setters."""
 
     __slots__ = ()
 
@@ -307,9 +309,6 @@ class GeneratorTable(Value):
     def __len__(self):
         return len(self._generators) + 1
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
-
     def index(self, symbol: str) -> int:
         try:
             return self._index[symbol]
@@ -380,7 +379,7 @@ class LinExpr(Value):
 
     @classmethod
     def zero(cls, table: GeneratorTable) -> "LinExpr":
-        return cls(table)
+        return cls._trusted(table, 1, (0,) * len(table._brackets))
 
     @property
     def coeffs(self) -> dict:
@@ -443,12 +442,13 @@ class LinExpr(Value):
         return h
 
     def _bounds(self) -> tuple:
-        """The cached enclosure as reduced integers ``(lo_num, lo_den,
-        hi_num, hi_den)``, denominators positive, filled on first use.
+        """The cached enclosure as integers ``(lo_num, lo_den, hi_num,
+        hi_den)``, denominators positive, filled on first use.
 
         Both bounds are summed over the nonzero numerators in one pass (a
-        negative numerator swaps the bracket ends), then divided by the
-        denominator and reduced once.
+        negative numerator swaps the bracket ends) and divided by the
+        denominator.  They are not reduced: every reader cross-multiplies
+        or reads a sign, and ``eval_interval``'s Fractions reduce.
         """
         b = self._enclosure
         if b is None:
@@ -459,10 +459,7 @@ class LinExpr(Value):
                     ln, ld, hn, hd = hn, hd, ln, ld
                 lo_n, lo_d = lo_n * ld + p * ln * lo_d, lo_d * ld
                 hi_n, hi_d = hi_n * hd + p * hn * hi_d, hi_d * hd
-            lo_d *= self._den
-            hi_d *= self._den
-            g, h = gcd(lo_n, lo_d), gcd(hi_n, hi_d)
-            b = (lo_n // g, lo_d // g, hi_n // h, hi_d // h)
+            b = (lo_n, lo_d * self._den, hi_n, hi_d * self._den)
             _set_enclosure(self, b)
         return b
 
@@ -616,16 +613,10 @@ def certified_order(values) -> list:
 
 def sqrt2_expr_to_num(e: LinExpr) -> Sqrt2Num:
     """Convert an expression supported on {1, sqrt2} into a Sqrt2Num."""
-    idx = e.table.index("sqrt2") if "sqrt2" in e.table else None
-    a = Fraction(0)
-    b = Fraction(0)
-    for i, c in e.coeffs.items():
-        if i == 0:
-            a = c
-        elif i == idx:
-            b = c
-        else:
-            raise ValueError(f"{clip(str(e))} involves generators outside {{1, sqrt2}}")
+    coeffs = e.coeffs
+    a, b = coeffs.pop(0, 0), coeffs.pop(e.table._index.get("sqrt2"), 0)
+    if coeffs:
+        raise ValueError(f"{clip(str(e))} involves generators outside {{1, sqrt2}}")
     return Sqrt2Num(a, b)
 
 

@@ -61,12 +61,14 @@ def y_area(w: LinExpr, h: LinExpr, basis: Basis, y) -> Fraction:
     """Basis-relative area (a + b*y)(c + d*y) at rational y.
 
     (a, b) and (c, d) are the coordinates of w and h on the first two
-    basis elements; NotInSpan propagates for lengths outside the span.
+    basis elements, read as integers over one denominator each, so the
+    area is one Fraction; NotInSpan propagates for lengths outside the span.
     """
     y = Fraction(y)
-    a, b = basis.coords_st(w)
-    c, d = basis.coords_st(h)
-    return (a + b * y) * (c + d * y)
+    p, q = y.numerator, y.denominator
+    a, b, e = basis._st(w)
+    c, d, f = basis._st(h)
+    return Fraction((a * q + b * p) * (c * q + d * p), e * f * q * q)
 
 
 def additivity_check(t: Tiling, basis: Basis, ys) -> bool:

@@ -39,6 +39,15 @@ class Placement(Value):
 
     __slots__ = ("x", "y", "w", "h")
 
+    def __init__(self, x: LinExpr, y: LinExpr, w: LinExpr, h: LinExpr):
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_w(self, w)
+        _set_h(self, h)
+
+
+_set_x, _set_y, _set_w, _set_h = (Placement.__dict__[name].__set__ for name in Placement.__slots__)
+
 
 class Tiling(Value):
     """An outer rectangle with a nonempty list of tile placements."""

@@ -99,6 +99,36 @@ def test_input_coordinates_are_read_only_and_survive_copies(table):
             assert other.coords(p) == basis.coords(p)
 
 
+def test_coordinates_stay_integers_until_asked(monkeypatch):
+    """Extraction keeps each input's coordinates as integer numerators
+    over one denominator, so extracting a 64-digit columns row builds no
+    Fraction, and ``y_area`` builds two per call: y and the area.  A
+    pickled copy of the basis answers ``coords`` with equal Fractions."""
+    doc = workloads.columns(random.Random(6), 13, 6, 64)
+    _, tiling = build_tiling(parse_document(doc.data))
+    lengths = tiling.side_lengths()
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    y = Fraction(-3, 7)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    basis = extract_basis(lengths)
+    assert built == []
+    for w, h in zip(lengths[::2], lengths[1::2]):  # the outer sides, then each tile's
+        del built[:]
+        y_area(w, h, basis, y)
+        assert len(built) <= 2
+    monkeypatch.undo()
+    copied = pickle.loads(pickle.dumps(basis))
+    for p in lengths:
+        coords = copied.coords(p)
+        assert coords == basis.coords(p) and {type(c) for c in coords} == {Fraction}
+
+
 def test_coords_refuse_a_length_over_another_table():
     """A table of the same size must not alias: 1*sqrt3 over {sqrt3}
     would otherwise read the coordinates of 1*sqrt2 over {sqrt2}, and its

@@ -340,11 +340,13 @@ def _argv(draw):
 
 
 def _squares(argv):
-    """How many squares construct builds at most for this argv."""
+    """How many squares construct builds at most for this argv: none for
+    a ratio that is not positive, which construct refuses."""
     try:
-        return workloads.quotient_sum(Fraction(argv[argv.index("--ratio") + 1]))
+        ratio = Fraction(argv[argv.index("--ratio") + 1])
     except (ValueError, ZeroDivisionError):
         return 0
+    return workloads.quotient_sum(ratio) if ratio > 0 else 0
 
 
 @settings(max_examples=100, deadline=None)

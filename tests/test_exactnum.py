@@ -450,7 +450,11 @@ def test_kernel_matches_termwise_fraction_reference(pair):
         want_lo, want_hi = _ref_eval_interval(e)
         got = e.eval_interval()
         assert got == (want_lo, want_hi) and type(got[0]) is type(got[1]) is Fraction
-        assert e._enclosure == (want_lo.numerator, want_lo.denominator, want_hi.numerator, want_hi.denominator)
+        # the cached bounds are not reduced: equal as rationals, over positive denominators
+        lo_n, lo_d, hi_n, hi_d = e._enclosure
+        assert lo_d > 0 and hi_d > 0
+        assert lo_n * want_lo.denominator == want_lo.numerator * lo_d
+        assert hi_n * want_hi.denominator == want_hi.numerator * hi_d
 
 
 @st.composite

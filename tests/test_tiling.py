@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +24,7 @@ from sqtile import (
     parse_expr,
     validate,
 )
+from sqtile.exactnum import Value
 
 from sqtile.cli import DEFAULT_ENCLOSURES, build_tiling, parse_document
 from sqtile.exactnum import MAX_GENERATORS, certified_order
@@ -143,6 +146,39 @@ def test_validate_evaluates_enclosures_of_cut_values_only(monkeypatch):
     assert evaluated and all(e in cuts for e in evaluated)
     sides = {p.w for p in t.tiles} | {p.h for p in t.tiles}
     assert sides - cuts  # the spiral has sides that are no cut value
+
+
+def test_placement_keeps_the_value_contract(table):
+    """``Placement`` has its own constructor, which writes its slots
+    directly; it keeps what ``Value`` gives every record: equality by
+    type and field, hash and repr, copy and pickle through the
+    constructor, no writes, and the constructor's arity, by position or
+    by keyword."""
+    e = lambda s: parse_expr(s, table)
+    x, y, w, h = e("0"), e("1/3"), e("1*sqrt2"), e("2 - 1*sqrt3")
+    p = Placement(x, y, w, h)
+    assert (p.x, p.y, p.w, p.h) == (x, y, w, h)
+    assert Placement(h=h, w=w, y=y, x=x) == p
+    same = Placement(e("0"), e("1/3"), e("1*sqrt2"), e("2 - 1*sqrt3"))
+    assert same == p and hash(same) == hash(p)
+    assert p != Placement(x, y, h, w)
+
+    class Other(Value):
+        __slots__ = ("x", "y", "w", "h")
+
+    assert Other(x, y, w, h) != p
+    assert repr(p) == f"Placement(x={x!r}, y={y!r}, w={w!r}, h={h!r})"
+    for trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        c = trip(p)
+        assert type(c) is Placement and c == p and hash(c) == hash(p) and repr(c) == repr(p)
+    for name in Placement.__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(p, name, x)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    for args, kwargs in (((x, y, w), {}), ((x, y, w, h, h), {}), ((x, y, w), {"side": h})):
+        with pytest.raises(TypeError):
+            Placement(*args, **kwargs)
 
 
 def test_empty_tiling_rejected(table):
