@@ -24,10 +24,9 @@ from sqtile import (
     parse_expr,
     validate,
 )
-from sqtile.exactnum import Value
 
 from sqtile.cli import DEFAULT_ENCLOSURES, build_tiling, parse_document
-from sqtile.exactnum import MAX_GENERATORS, certified_order
+from sqtile.exactnum import MAX_GENERATORS, Value, certified_order
 
 from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
 from test_validate_reference import reference_validate
