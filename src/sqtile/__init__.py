@@ -22,11 +22,9 @@ from .exactnum import (
     Generator,
     GeneratorTable,
     LinExpr,
-    Sqrt2Num,
     format_expr,
     parse_expr,
     parse_rational,
-    sqrt2_expr_to_num,
 )
 from .basis import Basis, extract_basis
 from .tiling import (

@@ -6,7 +6,8 @@ The only lossy surface is SVG rendering, which rounds enclosure
 midpoints to a fixed number of decimal digits.
 
 Exit codes: 0 valid/tilable/success, 1 refuted/not tilable, 2 input or
-parse error, 3 ambiguous comparison (enclosures too coarse).
+parse error, 3 ambiguous comparison (a comparison involving a user
+generator that the enclosures cannot settle).
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from .errors import AmbiguousComparison, DocumentError, InvalidTiling, SqtileErr
 from .exactnum import (
     Generator,
     GeneratorTable,
+    LinExpr,
     format_expr,
     parse_expr,
     parse_rational,
     rational_text,
-    sqrt2_expr_to_num,
 )
-from .hamel import Contradiction, analyze_good_squares
+from .hamel import Contradiction, _pair, analyze_good_squares
 from .tiling import Placement, Tiling, validate
 
 __all__ = [
@@ -380,8 +381,9 @@ def _cmd_analyze_good(args):
     table = _expr_table(args)
 
     def positive(flag, text):
-        value = sqrt2_expr_to_num(parse_expr(text, table))
-        if value.sign() <= 0:
+        value = parse_expr(text, table)
+        _pair(value)  # a value outside {1, sqrt2} is refused before its sign
+        if value.cmp(LinExpr.zero(table)) <= 0:
             raise DocumentError(f"{flag} must be positive, got {clip(text)}")
         return value
 

@@ -1,6 +1,7 @@
-"""Exact scalar arithmetic: big rationals, the field Q(sqrt2), symbolic
-rational-linear expressions over declared generators, and certified
-interval comparison.
+"""Exact scalar arithmetic: big rationals, symbolic rational-linear
+expressions over declared generators (Q(sqrt2) is those over the unit
+and ``sqrt2``), and certified comparison: by enclosures, and past them,
+for the unit and ``sqrtN`` roots alone, by one exact sign.
 
 Rationals at the API are stdlib ``fractions.Fraction`` (arbitrary
 precision, always canonical).  Everything is exact; floating point never
@@ -133,88 +134,6 @@ class Value:
         return f"{type(self).__name__}({fields})"
 
 
-class Sqrt2Num(Value):
-    """An element a + b*sqrt(2) of Q(sqrt2), exact in both components.
-
-    The representation is unique (sqrt2 is irrational), so equality is
-    componentwise, and a rational element hashes as the rational it
-    equals.  ``sign`` decides the sign of the real value exactly, without
-    any enclosures.  Arithmetic takes the Sqrt2Num as left operand.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        super().__init__(_as_fraction(a), _as_fraction(b))
-
-    def conj(self) -> "Sqrt2Num":
-        """The conjugate a - b*sqrt(2)."""
-        return Sqrt2Num(self.a, -self.b)
-
-    def _coerce(self, other):
-        if isinstance(other, Sqrt2Num):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Sqrt2Num(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Sqrt2Num(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Sqrt2Num(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a+b*r)(c+d*r) = (ac+2bd) + (ad+bc)*r  with r*r = 2
-        return Sqrt2Num(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    def __neg__(self):
-        return Sqrt2Num(-self.a, -self.b)
-
-    def sign(self) -> int:
-        """Exact sign of the real value a + b*sqrt(2): -1, 0 or 1.
-
-        When the signs of a and b agree, or one is 0, the nonzero sign
-        is the answer.  Otherwise the term with the larger square wins:
-        a^2 against 2 b^2, pure rational arithmetic, never equal for
-        nonzero rationals.
-        """
-        a, b = self.a, self.b
-        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-        if sa * sb >= 0:
-            return sa or sb
-        return sa if a * a > 2 * b * b else sb
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"Sqrt2Num({self.a!r}, {self.b!r})"
-
-    def __str__(self):
-        if self.b == 0:
-            return rational_text(self.a)
-        if self.a == 0:
-            return f"{rational_text(self.b)}*sqrt2"
-        op = "-" if self.b < 0 else "+"
-        return f"{rational_text(self.a)} {op} {rational_text(abs(self.b))}*sqrt2"
-
-
 UNIT_SYMBOL = "1"
 
 
@@ -223,9 +142,11 @@ class Generator(Value):
 
     Enclosures straddling zero are rejected: sign reasoning would be
     unsound.  A ``sqrtN`` enclosure must contain the root: lo|lo| <= N <=
-    hi|hi|, as t|t| increases.  Q-linear independence of the generators
-    (and the unit) is a trusted assumption, never verified, except for
-    the ``sqrtN`` symbols that ``GeneratorTable`` checks.
+    hi|hi|, as t|t| increases.  Such a bracket only speeds comparisons
+    up: what the enclosures cannot settle about roots, the exact sign does.
+    Q-linear independence of the generators (and the unit) is a trusted
+    assumption, never verified, except for the ``sqrtN`` symbols that
+    ``GeneratorTable`` checks.
     """
 
     __slots__ = ("symbol", "lo", "hi")
@@ -256,12 +177,14 @@ class GeneratorTable(Value):
     generators follow in declaration order, at most ``MAX_GENERATORS`` of
     them.  The first ``sqrtN`` that is rational (N = m^2) or a rational
     multiple of an earlier ``sqrtM`` (N*M = r^2, so sqrtN = r/M*sqrtM) is
-    an input error.  Equality,
-    hashing, ``repr``, copy and pickle go by the generators alone; the
-    symbol index is a read-only view.
+    an input error.  The roots that pass are Q-independent with the unit
+    (Besicovitch, 1940), which the exact sign needs to end.  Each index
+    keeps a radicand: 1 for the unit, N for ``sqrtN``, 0 for any other
+    generator.  Equality, hashing, ``repr``, copy and pickle go by the
+    generators alone; the symbol index is a read-only view.
     """
 
-    __slots__ = ("_generators", "_index", "_brackets")
+    __slots__ = ("_generators", "_index", "_brackets", "_radicands")
 
     def __init__(self, generators=()):
         gens = tuple(generators)
@@ -275,8 +198,10 @@ class GeneratorTable(Value):
                 raise DocumentError(f"duplicate generator symbol {clip(g.symbol, repr)}")
             seen.add(g.symbol)
         roots = [(None, 1)]  # (symbol, N) of the unit and each earlier sqrtN
+        radicands = [1]
         for g in gens:
             if not (root := _ROOT_RE.match(g.symbol)):
+                radicands.append(0)
                 continue
             n, s = int(Decimal(root[1])), clip(g.symbol)
             for sym, k in roots:
@@ -288,12 +213,13 @@ class GeneratorTable(Value):
                     m = clip(sym)
                     raise DocumentError(f"generator {s} is a rational multiple of {m}: {s} = {q}*{m}")
             roots.append((g.symbol, n))
+            radicands.append(n)
         index = {g.symbol: i + 1 for i, g in enumerate(gens)}
         index[UNIT_SYMBOL] = 0
         brackets = ((1, 1, 1, 1),) + tuple(
             (g.lo.numerator, g.lo.denominator, g.hi.numerator, g.hi.denominator) for g in gens
         )
-        super().__init__(gens, MappingProxyType(index), brackets)
+        super().__init__(gens, MappingProxyType(index), brackets, tuple(radicands))
 
     def __reduce__(self):
         return GeneratorTable, (self._generators,)
@@ -472,8 +398,10 @@ class LinExpr(Value):
         """Exact three-way comparison: LESS, EQUAL or GREATER.
 
         Equal iff the stored forms coincide; otherwise the sign of the
-        difference's enclosure decides.  Raises AmbiguousComparison when
-        the enclosure of the difference still contains zero.
+        difference's enclosure decides, or where that contains zero, the
+        exact ``_root_sign`` of a difference over the unit and roots.
+        Raises AmbiguousComparison only for a difference on another
+        generator.
 
         Disjoint enclosures of the two sides already settle the sign: the
         difference's enclosure lies inside their interval difference.
@@ -491,11 +419,15 @@ class LinExpr(Value):
         if a_hn * b_ld < b_ln * a_hd:
             return LESS
         # the numerators carry the signs of the difference's bounds
-        lo, _, hi, _ = (self - other)._bounds()
+        d = self - other
+        lo, _, hi, _ = d._bounds()
         if lo > 0:
             return GREATER
         if hi < 0:
             return LESS
+        radicands = self.table._radicands
+        if 0 not in compress(radicands, d._nums):
+            return _root_sign(d._nums, radicands)
         raise AmbiguousComparison(
             f"cannot order {self} against {other}: enclosures overlap; "
             "declare tighter generator enclosures"
@@ -512,6 +444,28 @@ class LinExpr(Value):
 _set_table, _set_den, _set_nums, _set_hash, _set_enclosure = (
     LinExpr.__dict__[name].__set__ for name in LinExpr.__slots__
 )
+
+
+def _root_sign(nums: tuple, radicands: tuple) -> int:
+    """The sign of sum(p * sqrt(n)) over the nonzero numerators ``p`` and
+    their positive radicands ``n``, exactly: LESS or GREATER.
+
+    Each root is bracketed at 2**-k by ``isqrt``, r <= 2**k * sqrt(n) <
+    r + 1 (a negative numerator swaps the ends), and k doubles from 64
+    until the bracket of the sum excludes 0.  The sum is not 0, as the
+    roots of a table are Q-independent with the unit, so this ends.
+    """
+    k = 64
+    while True:
+        lo = hi = 0
+        for p, n in compress(zip(nums, radicands), nums):
+            r = isqrt(n << 2 * k)
+            lo, hi = (lo + p * r, hi + p * (r + 1)) if p > 0 else (lo + p * (r + 1), hi + p * r)
+        if lo > 0:
+            return GREATER
+        if hi < 0:
+            return LESS
+        k *= 2
 
 
 def _reduced(den: int, nums: tuple, bound: int) -> tuple:
@@ -587,12 +541,14 @@ def certified_order(values) -> list:
     The indices are sorted by an integer key, the cached lower bound
     scaled by 2**64 and floored, and each neighbouring pair is confirmed
     LESS: by disjoint enclosures, compared by cross-multiplication, or
-    else by ``LinExpr.cmp``.  That order is the ``cmp`` order: a
-    certified a > b holds on the whole box of generator brackets, where
-    an enclosure is the exact range of a linear form, so lo(a) > lo(b).
-    A pair ``cmp`` answers GREATER (a tie in the key) or cannot order
-    sends the values, in their given order, to a ``cmp`` sort instead,
-    which raises AmbiguousComparison on the first pair it cannot order.
+    else by ``LinExpr.cmp``.  That order is the ``cmp`` order: an a > b
+    that the difference's enclosure certifies holds on the whole box of
+    generator brackets, where an enclosure is the exact range of a linear
+    form, so lo(a) > lo(b).  An a > b that only the exact sign of roots
+    settles may come out of the key order.  A pair ``cmp`` answers
+    GREATER (a tie in the key, or such a pair) or cannot order sends the
+    values, in their given order, to a ``cmp`` sort instead, which raises
+    AmbiguousComparison on the first pair it cannot order.
     """
     bounds = [v._bounds() for v in values]
     keys = [(lo_n << 64) // lo_d for lo_n, lo_d, _, _ in bounds]
@@ -609,15 +565,6 @@ def certified_order(values) -> list:
         pass
     key = functools.cmp_to_key(LinExpr.cmp)
     return sorted(range(len(values)), key=lambda i: key(values[i]))
-
-
-def sqrt2_expr_to_num(e: LinExpr) -> Sqrt2Num:
-    """Convert an expression supported on {1, sqrt2} into a Sqrt2Num."""
-    coeffs = e.coeffs
-    a, b = coeffs.pop(0, 0), coeffs.pop(e.table._index.get("sqrt2"), 0)
-    if coeffs:
-        raise ValueError(f"{clip(str(e))} involves generators outside {{1, sqrt2}}")
-    return Sqrt2Num(a, b)
 
 
 # --- expression grammar -----------------------------------------------------

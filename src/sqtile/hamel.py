@@ -1,8 +1,9 @@
 """Generalized area functionals.
 
-For a rectangle with sides a + b*sqrt2 and c + d*sqrt2 the parametric
-area at x is (a + b*x)(c + d*x): ordinary area at x = sqrt2, its
-conjugate at x = -sqrt2.  The basis-relative analogue replaces (a, b)
+A value of Q(sqrt2) is a ``LinExpr`` a + b*sqrt2 over a table holding
+``sqrt2``.  For a rectangle with sides a + b*sqrt2 and c + d*sqrt2 the
+parametric area at x is (a + b*x)(c + d*x): ordinary area at x = sqrt2,
+its conjugate at x = -sqrt2.  The basis-relative analogue replaces (a, b)
 and (c, d) by the coordinates of the sides on the first two basis
 elements.  Both are exact; the additivity check over a validated tiling
 is an identity of rationals, not an approximation.
@@ -14,8 +15,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .basis import Basis
-from .errors import InvalidTiling
-from .exactnum import LinExpr, Sqrt2Num, Value, rational_text
+from .errors import InvalidTiling, clip
+from .exactnum import LinExpr, Value, rational_text
 from .tiling import Tiling, validate
 
 __all__ = [
@@ -29,29 +30,43 @@ __all__ = [
 ]
 
 
-def x_area(w: Sqrt2Num, h: Sqrt2Num, x) -> Sqrt2Num:
-    """The parametric area (a + b*x)(c + d*x) evaluated in Q(sqrt2).
+def _pair(e: LinExpr) -> tuple:
+    """The rationals (a, b) of e = a + b*sqrt2; ValueError when e has a
+    nonzero coefficient on another generator."""
+    coeffs = e.coeffs
+    a, b = coeffs.pop(0, Fraction(0)), coeffs.pop(e.table._index.get("sqrt2"), Fraction(0))
+    if coeffs:
+        raise ValueError(f"{clip(str(e))} involves generators outside {{1, sqrt2}}")
+    return a, b
 
-    ``x`` may be a Sqrt2Num (use Sqrt2Num(0, 1) for sqrt2 itself) or a
-    plain rational.
+
+def x_area(w: LinExpr, h: LinExpr, x):
+    """The parametric area (a + b*x)(c + d*x) of sides over {1, sqrt2}.
+
+    A rational ``x`` gives a Fraction; an ``x`` over {1, sqrt2} (the
+    expression ``1*sqrt2`` for sqrt2 itself) gives a LinExpr over the
+    table of ``w``.
     """
-    if not isinstance(x, Sqrt2Num):
-        x = Sqrt2Num(x)
-    return (Sqrt2Num(w.a) + x * w.b) * (Sqrt2Num(h.a) + x * h.b)
+    (a, b), (c, d) = _pair(w), _pair(h)
+    if not isinstance(x, LinExpr):
+        return (a + b * x) * (c + d * x)
+    u, v = _pair(x)
+    # (p + q*r)(s + t*r) = (ps + 2qt) + (pt + qs)*r  with r*r = 2
+    p, q, s, t = a + b * u, b * v, c + d * u, d * v
+    return LinExpr(w.table, {0: p * s + 2 * q * t, w.table.index("sqrt2"): p * t + q * s})
 
 
-def x_area_nonneg_for_all_x(w: Sqrt2Num, h: Sqrt2Num) -> bool:
+def x_area_nonneg_for_all_x(w: LinExpr, h: LinExpr) -> bool:
     """True iff every parametric area of the w x h rectangle is >= 0.
 
     Requires w, h > 0.  Equivalent to the side ratio being rational; the
     test suite checks both characterizations against each other.
     """
-    if w.sign() <= 0 or h.sign() <= 0:
+    (a, b), (c, d) = _pair(w), _pair(h)
+    if w.cmp(LinExpr.zero(w.table)) <= 0 or h.cmp(LinExpr.zero(h.table)) <= 0:
         raise ValueError("sides must be positive")
     # (a + b*x)(c + d*x) = c2*x^2 + c1*x + c0
-    c2 = w.b * h.b
-    c1 = w.b * h.a + w.a * h.b
-    c0 = w.a * h.a
+    c2, c1, c0 = b * d, b * c + a * d, a * c
     if c2 == 0:
         return c1 == 0 and c0 >= 0
     return c2 > 0 and c1 * c1 - 4 * c2 * c0 <= 0
@@ -116,24 +131,24 @@ class GoodSquareAnalysis(Value):
         }
 
 
-def analyze_good_squares(sides, target_w: Sqrt2Num, target_h: Sqrt2Num) -> GoodSquareAnalysis:
+def analyze_good_squares(sides, target_w: LinExpr, target_h: LinExpr) -> GoodSquareAnalysis:
     """Check whether squares with the given sides could cut the target.
 
-    Computes A = sum(a_i^2), B = sum(b_i^2), C = sum(a_i*b_i) and compares
-    the total square area (A + 2B) + 2C*sqrt2 against the target area.
-    The contradiction is AREA_MISMATCH exactly when that identity fails.
-    A negative conjugate target area needs no verdict of its own: the
-    conjugate of the square area, sum((a_i - b_i*sqrt2)^2), is never
-    negative, so the identity already fails for such a target.
+    Every value is a LinExpr over {1, sqrt2}.  Computes A = sum(a_i^2),
+    B = sum(b_i^2), C = sum(a_i*b_i) and compares the total square area
+    (A + 2B) + 2C*sqrt2 against the target area.  The contradiction is
+    AREA_MISMATCH exactly when that identity fails.  A negative conjugate
+    target area needs no verdict of its own: the conjugate of the square
+    area, sum((a_i - b_i*sqrt2)^2), is never negative, so the identity
+    already fails for such a target.
     """
-    sides = list(sides)
-    if not sides:
+    pairs = [_pair(s) for s in sides]
+    if not pairs:
         raise ValueError("need at least one square side")
-    A = sum((s.a * s.a for s in sides), Fraction(0))
-    B = sum((s.b * s.b for s in sides), Fraction(0))
-    C = sum((s.a * s.b for s in sides), Fraction(0))
-    square_sum = Sqrt2Num(A + 2 * B, 2 * C)
-    target_area = target_w * target_h
-    identity = target_area == square_sum
+    A = sum((a * a for a, _ in pairs), Fraction(0))
+    B = sum((b * b for _, b in pairs), Fraction(0))
+    C = sum((a * b for a, b in pairs), Fraction(0))
+    (a, b), (c, d) = _pair(target_w), _pair(target_h)
+    identity = (a * c + 2 * b * d, a * d + b * c) == (A + 2 * B, 2 * C)
     kind = Contradiction.NONE if identity else Contradiction.AREA_MISMATCH
     return GoodSquareAnalysis(A, B, C, identity, kind)

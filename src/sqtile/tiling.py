@@ -180,19 +180,24 @@ def validate(t: Tiling) -> ValidationReport:
     ``certified_order`` inside one ``try``.  The cases:
 
     * Both orders come back.  Every neighbouring pair of each order is
-      certified LESS (confirmed on the lower-bound order, or compared by
-      a ``cmp`` sort that succeeded), so by transitivity every pair of
-      cuts certifies, since the difference of the ends of a chain lies
-      inside the sum of the chain's enclosures.  Each ``cmp`` on two
-      cuts therefore gives the rank comparison's answer.  A tiling
-      passes the side and bounds checks exactly when each tile's near
-      edge ranks below its far edge and the least near and greatest far
-      edge ranks lie inside the outer ones, so the check is a few passes
-      over rank lists, and the coverage sweep runs on ranks too.  A
-      failed check is explained by ``_side_failures``, the one side and
-      bounds explanation, which compares the cut values by ``cmp``; no
-      comparison there can raise, so it lists the failures the ranks
-      would.
+      ordered LESS by ``cmp`` (confirmed on the lower-bound order, or by
+      a ``cmp`` sort that succeeded), so the ranks are the cuts' true
+      order and each ``cmp`` on two cuts that answers gives the rank
+      comparison's answer.  A tiling passes the side and bounds checks
+      exactly when each tile's near edge ranks below its far edge and
+      the least near and greatest far edge ranks lie inside the outer
+      ones, so the check is a few passes over rank lists, and the
+      coverage sweep runs on ranks too.  A failed check is explained by
+      ``_side_failures``, the one side and bounds explanation, which
+      compares the cut values by ``cmp``.  Over roots alone the exact
+      sign answers every pair; over user generators alone every pair
+      certifies by transitivity, as the difference of the ends of a
+      chain lies inside the sum of the chain's enclosures.  So no
+      comparison there can raise, and it lists the failures the ranks
+      would.  A table that mixes both can chain a pair that only the
+      exact sign ordered with one the enclosures did, so there a
+      comparison may still raise AmbiguousComparison, on a pair with a
+      user generator, but never answers against the ranks.
     * An order raises on a pair of cuts.  ``_side_failures`` runs on the
       same cut values, as it would before any sort: its failures are
       the report, or it raises on the first side or bounds pair it

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import re
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,6 +55,65 @@ def tight_table(*roots: int) -> GeneratorTable:
     return GeneratorTable(
         Generator(f"sqrt{n}", *tight_enclosure(n)) for n in roots
     )
+
+
+# Q(sqrt2): a + b*sqrt2 is an expression over a table holding sqrt2.  The
+# bracket [1, 2] leaves most signs to the exact sign of LinExpr.cmp.
+SQRT2_TABLE = GeneratorTable([Generator("sqrt2", Fraction(1), Fraction(2))])
+
+
+def q2(a, b=0, table=SQRT2_TABLE) -> LinExpr:
+    return LinExpr(table, {0: a, table.index("sqrt2"): b})
+
+
+def q2_pair(e: LinExpr) -> tuple:
+    coeffs = e.coeffs
+    return coeffs.get(0, Fraction(0)), coeffs.get(e.table.index("sqrt2"), Fraction(0))
+
+
+def q2_mul(s: LinExpr, t: LinExpr) -> LinExpr:
+    """(a + b*sqrt2)(c + d*sqrt2) = (ac + 2bd) + (ad + bc)*sqrt2"""
+    (a, b), (c, d) = q2_pair(s), q2_pair(t)
+    return q2(a * c + 2 * b * d, a * d + b * c, s.table)
+
+
+def q2_conj(s: LinExpr) -> LinExpr:
+    a, b = q2_pair(s)
+    return q2(a, -b, s.table)
+
+
+def sign(e: LinExpr) -> int:
+    return e.cmp(LinExpr.zero(e.table))
+
+
+_ROOT_SYMBOL = re.compile(r"sqrt0*([1-9][0-9]*)")
+
+
+def sign_oracle(e: LinExpr):
+    """The sign of ``e`` by Decimal arithmetic alone, or None when ``e``
+    has a nonzero coefficient on a generator other than a ``sqrtN``.
+
+    The unit is sqrt1.  Each term c*sqrt(N) is evaluated at ``prec``
+    digits; every operation rounds correctly, so the sum is off by less
+    than 10**(terms + 3 - prec) times the sum of the terms' sizes.  The
+    precision doubles until the sum lies farther than that from 0.
+    """
+    terms = []
+    for i, c in e.coeffs.items():
+        root = _ROOT_SYMBOL.fullmatch(e.table.symbols[i])
+        if i and not root:
+            return None
+        terms.append((c, int(root[1]) if i else 1))
+    prec = 60
+    while terms:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            values = [Decimal(c.numerator) * Decimal(n).sqrt() / Decimal(c.denominator) for c, n in terms]
+            total = sum(values)
+            if abs(total) > sum(map(abs, values)) * Decimal(10) ** (len(terms) + 3 - prec):
+                return 1 if total > 0 else -1
+        prec *= 2
+    return 0
 
 
 def combine(basis, coords) -> LinExpr:

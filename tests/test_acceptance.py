@@ -15,7 +15,6 @@ from sqtile import (
     Contradiction,
     Placement,
     RefutationKind,
-    Sqrt2Num,
     Tiling,
     additivity_check,
     analyze_good_squares,
@@ -40,7 +39,7 @@ from sqtile.cli import (
     serialize_document,
 )
 
-from conftest import guillotine_tiling, rand_fraction, tight_table
+from conftest import guillotine_tiling, q2, q2_conj, q2_mul, q2_pair, rand_fraction, sign, tight_table
 
 
 # --- criterion 1: Fig. 4 golden test -----------------------------------------
@@ -136,17 +135,18 @@ def test_criterion_5_conjugation_and_x_area_identities():
     rng = random.Random(1742)
 
     def rand_good():
-        return Sqrt2Num(
+        return q2(
             Fraction(rng.randint(-60, 60), rng.randint(1, 30)),
             Fraction(rng.randint(-60, 60), rng.randint(1, 30)),
         )
 
+    sqrt2 = q2(0, 1)
     for _ in range(1000):
         s, t = rand_good(), rand_good()
-        assert (s + t).conj() == s.conj() + t.conj()
-        assert (s * t).conj() == s.conj() * t.conj()
-        assert x_area(s, t, Sqrt2Num(0, 1)) == s * t
-        assert x_area(s, t, -Sqrt2Num(0, 1)) == (s * t).conj()
+        assert q2_conj(s + t) == q2_conj(s) + q2_conj(t)
+        assert q2_conj(q2_mul(s, t)) == q2_mul(q2_conj(s), q2_conj(t))
+        assert x_area(s, t, sqrt2) == q2_mul(s, t)
+        assert x_area(s, t, -sqrt2) == q2_conj(q2_mul(s, t))
 
 
 # --- criterion 6: nonnegative areas iff rational ratio ------------------------
@@ -157,11 +157,11 @@ def test_criterion_6_task4_equivalence():
 
     def rand_positive():
         while True:
-            s = Sqrt2Num(
+            s = q2(
                 Fraction(rng.randint(0, 20), rng.randint(1, 10)),
                 Fraction(rng.randint(-6, 20), rng.randint(1, 10)),
             )
-            if s.sign() > 0:
+            if sign(s) > 0:
                 return s
 
     for _ in range(1000):
@@ -171,7 +171,8 @@ def test_criterion_6_task4_equivalence():
         else:
             h = rand_positive()
         # h/w is rational iff this 2x2 determinant is zero
-        rational_ratio = h.a * w.b == h.b * w.a
+        (wa, wb), (ha, hb) = q2_pair(w), q2_pair(h)
+        rational_ratio = ha * wb == hb * wa
         assert x_area_nonneg_for_all_x(w, h) == rational_ratio
 
 
@@ -236,10 +237,10 @@ def test_criterion_7_refutation_exhaustiveness():
 
 def test_criterion_8_random_candidates_always_contradicted():
     rng = random.Random(1842)
-    target_w, target_h = Sqrt2Num(1), Sqrt2Num(1, 1)
+    target_w, target_h = q2(1), q2(1, 1)
     for _ in range(200):
         sides = [
-            Sqrt2Num(
+            q2(
                 Fraction(rng.randint(-12, 12), rng.randint(1, 8)),
                 Fraction(rng.randint(-12, 12), rng.randint(1, 8)),
             )
@@ -263,17 +264,17 @@ def test_criterion_8_conjugate_negative_hand_built():
     component.  The single side 1 + sqrt2/2 is such a candidate, with
     A + 2B = 3/2.
     """
-    target_w, target_h = Sqrt2Num(1), Sqrt2Num(1, 1)
+    target_w, target_h = q2(1), q2(1, 1)
     # best attempt: one square matching the sqrt2 part of the area exactly
-    sides = [Sqrt2Num(1, Fraction(1, 2))]
+    sides = [q2(1, Fraction(1, 2))]
     analysis = analyze_good_squares(sides, target_w, target_h)
     A, B, C = analysis.A, analysis.B, analysis.C
     assert 2 * C == 1  # the sqrt2 components agree
     assert A == 1 and B == Fraction(1, 4)
     assert A + 2 * B == Fraction(3, 2)  # over the target's rational part 1
     # conjugate target area is negative, conjugate square area is not
-    assert (target_w * target_h).conj().sign() < 0
-    assert Sqrt2Num(A + 2 * B, -2 * C).sign() >= 0
+    assert sign(q2_conj(q2_mul(target_w, target_h))) < 0
+    assert sign(q2(A + 2 * B, -2 * C)) >= 0
     assert not analysis.area_identity_holds
     assert analysis.contradiction is Contradiction.AREA_MISMATCH
 

@@ -24,6 +24,8 @@ from sqtile import (
     Certificate,
     DocumentError,
     InvalidTiling,
+    Placement,
+    Tiling,
     euclid_tiling,
     parse_expr,
     refute_square_tiling,
@@ -41,7 +43,15 @@ from sqtile.cli import (
 )
 from sqtile.dehn import RefutationKind
 
-from conftest import BOUWKAMP_CODES, DATA, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
+from conftest import (
+    BOUWKAMP_CODES,
+    DATA,
+    bouwkamp_tiling,
+    guillotine_tiling,
+    tight_enclosure,
+    tight_table,
+    workloads,
+)
 
 
 # --- default enclosures -------------------------------------------------------
@@ -773,14 +783,19 @@ def test_cli_overridden_document_bracket_is_still_checked(tmp_path, capsys):
 
 def test_cli_bare_expression_terms_follow_the_builtin_order(capsys):
     """Bare expressions see sqrt2, sqrt3, sqrt5, then new --gen symbols, so a
-    printed expression does not depend on the order of the flags."""
-    argv = ["decide", "--width", "1*sqrt3 - 1*sqrt2 - 1/3", "--height", "1"]
-    for gens in (["sqrt3=[1,2]", "sqrt2=[1,2]"], ["sqrt2=[1,2]", "sqrt3=[1,2]"]):
-        code, out = run(capsys, *argv, *(f for g in gens for f in ("--gen", g)), "--format", "json")
+    printed expression does not depend on the order of the flags.  The
+    user generator g leaves the sign unsettled; without it the exact sign
+    of the roots answers, whatever their brackets."""
+    argv = ["decide", "--width", "1*g + 1*sqrt3 - 1*sqrt2 - 1/3", "--height", "1"]
+    for gens in (["sqrt3=[1,2]", "g=[1,2]", "sqrt2=[1,2]"], ["g=[1,2]", "sqrt2=[1,2]", "sqrt3=[1,2]"]):
+        flags = [f for g in gens for f in ("--gen", g)]
+        code, out = run(capsys, *argv, *flags, "--format", "json")
         assert (code, json.loads(out)["detail"]) == (
-            3, "cannot order -1/3 - 1*sqrt2 + 1*sqrt3 against 0: enclosures overlap; "
+            3, "cannot order -1/3 - 1*sqrt2 + 1*sqrt3 + 1*g against 0: enclosures overlap; "
             "declare tighter generator enclosures",
         )
+        code, out = run(capsys, "decide", "--width", "1*sqrt3 - 1*sqrt2 - 1/3", "--height", "1", *flags)
+        assert (code, out) == (2, "error: width must be positive\n")
 
 
 def test_cli_ambiguous_exit_3(tmp_path, capsys):
@@ -838,6 +853,11 @@ def test_cli_analyze_good_refuses_nonpositive_sides(capsys):
         (["--width", "1", "--height", "0", "--side", "1"], "--height must be positive, got 0"),
         (["--width", "1", "--height", "1", "--side", "1", "--side", "1 - 1*sqrt2"],
          "--side must be positive, got 1 - 1*sqrt2"),
+        # per flag in argv order, a value outside {1, sqrt2} is refused before its sign
+        (["--width", "1*sqrt3", "--height", "-1", "--side", "1"], "1*sqrt3 involves generators outside {1, sqrt2}"),
+        (["--width", "1", "--height", "1", "--side", "1*sqrt3", "--side", "-1"],
+         "1*sqrt3 involves generators outside {1, sqrt2}"),
+        (["--width", "1", "--height", "1", "--side", "-1", "--side", "1*sqrt3"], "--side must be positive, got -1"),
     ]
     for argv, message in cases:
         code, out = run(capsys, "analyze-good", *argv)
@@ -846,6 +866,27 @@ def test_cli_analyze_good_refuses_nonpositive_sides(capsys):
     assert code == 1 and "contradiction: area_mismatch" in out
     code, out = run(capsys, "analyze-good", "--width", "1", "--height", "1", "--side", "1", "--side", "-" + "7" * 3000)
     assert code == 2 and out.startswith("error: --side must be positive, got -777") and len(out) < 200
+
+
+def test_cli_decide_and_analyze_good_agree_on_near_ties(capsys):
+    """sqrt2 - 14142135623730/10^13 is about 9.5e-14, inside the built-in
+    bracket's width: both commands find it positive, and the next
+    rational up negative, by the one exact sign."""
+    positive, negative = (f"1*sqrt2 - {n}/10000000000000" for n in (14142135623730, 14142135623731))
+    # the same verdict and certificate as for a 1 x sqrt2 rectangle
+    assert run(capsys, "decide", "--width", positive, "--height", "1") == run(
+        capsys, "decide", "--width", "1", "--height", "1*sqrt2"
+    )
+    code, out = run(capsys, "decide", "--width", positive, "--height", "1", "--format", "json")
+    payload = json.loads(run(capsys, "decide", "--width", "1", "--height", "1*sqrt2", "--format", "json")[1])
+    assert (code, json.loads(out)) == (1, {**payload, "width": positive, "height": "1"})
+    assert payload["verdict"] == "not_tilable"
+    code, out = run(capsys, "analyze-good", "--width", positive, "--height", "1", "--side", "1")
+    assert code == 1 and out.endswith("contradiction: area_mismatch\n")
+    assert run(capsys, "decide", "--width", negative, "--height", "1") == (2, "error: width must be positive\n")
+    assert run(capsys, "analyze-good", "--width", negative, "--height", "1", "--side", "1") == (
+        2, f"error: --width must be positive, got {negative}\n"
+    )
 
 
 def test_cli_gen_flag_validation(capsys):
@@ -904,6 +945,61 @@ def _write(tmp_path, name, generators, outer, tiles):
     path = tmp_path / name
     path.write_text(serialize_document(_doc(generators, outer, tiles)))
     return str(path)
+
+
+def _root_tilings():
+    """Tilings over sqrt2 and sqrt3: Fig. 4, guillotine tilings and their
+    copies with a tile twice, a stretched Bouwkamp rectangle, a scaled
+    Euclid tiling, and one tile whose
+    width misses the outer width sqrt2 by about 1e-14, short or long."""
+    table = tight_table(2, 3)
+    e = lambda text: parse_expr(text, table)
+    yield build_tiling(parse_document(_FIG4_TEXT))[1]
+    rng = random.Random(37)
+    for _ in range(4):
+        t = guillotine_tiling(rng, e("2 + 1*sqrt3"), e("1 + 1*sqrt2"), depth=3)
+        yield t
+        yield Tiling(t.outer_w, t.outer_h, t.tiles + t.tiles[-1:], table)
+    yield bouwkamp_tiling(workloads.MORON_CODE, table, e("1*sqrt2"))
+    unit = e("1 + 1*sqrt3")  # a genuine square tiling, scaled
+    squares = euclid_tiling(Fraction(1), Fraction(13, 8))
+    scaled = lambda v: unit * v.constant_value()
+    tiles = tuple(Placement(*map(scaled, (p.x, p.y, p.w, p.h))) for p in squares.tiles)
+    yield Tiling(scaled(squares.outer_w), scaled(squares.outer_h), tiles, table)
+    for n in (14142135623730, 14142135623731):
+        yield Tiling(e("1*sqrt2"), e("1"), (Placement(e("0"), e("0"), e(f"{n}/10000000000000"), e("1")),), table)
+
+
+def test_cli_root_brackets_decide_no_verdict(tmp_path, capsys):
+    """validate, verify, decide and refute_square_tiling give the same
+    bytes with sqrt2 and sqrt3 bracketed by [1, 2] as with 60-digit
+    brackets; render, whose SVG uses the bracket midpoints, the same
+    exit code."""
+    brackets = {
+        "coarse": {n: ("1", "2") for n in (2, 3)},
+        "tight": {n: tuple(map(str, tight_enclosure(n))) for n in (2, 3)},
+    }
+    codes = set()
+    for i, t in enumerate(_root_tilings()):
+        seen = {}
+        for name, bounds in brackets.items():
+            doc = document_from_tiling(t)
+            doc["generators"] = [{"symbol": f"sqrt{n}", "lo": lo, "hi": hi} for n, (lo, hi) in bounds.items()]
+            path = tmp_path / f"{name}{i}.tiling"
+            path.write_text(serialize_document(doc))
+            gens = [f for n, (lo, hi) in bounds.items() for f in ("--gen", f"sqrt{n}=[{lo},{hi}]")]
+            outer = ["--width", doc["outer"]["w"], "--height", doc["outer"]["h"]]
+            runs = [run(capsys, *argv, "--format", form)
+                    for argv in (["validate", str(path)], ["verify", str(path)], ["decide", *outer, *gens])
+                    for form in ("text", "json")]
+            try:
+                refuted = refute_square_tiling(build_tiling(doc)[1]).as_dict()
+            except ValueError as exc:
+                refuted = str(exc)
+            seen[name] = runs, refuted, run(capsys, "render", str(path))[0]
+        assert seen["coarse"] == seen["tight"]
+        codes.update([code for code, _ in seen["tight"][0]] + [seen["tight"][2]])
+    assert codes == {0, 1}
 
 
 def test_cli_verify_commensurable_non_square_tilings(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Exact scalars: rationals, Q(sqrt2), linear expressions, enclosures."""
+"""Exact scalars: rationals, Q(sqrt2), linear expressions, enclosures and
+the exact sign."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import math
 import pickle
 import random
 import re
-from decimal import Decimal, getcontext
+import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,6 @@ from sqtile import (
     LinExpr,
     Placement,
     Refutation,
-    Sqrt2Num,
     TableMismatch,
     Tiling,
     ValidationReport,
@@ -41,20 +42,27 @@ from sqtile import (
     parse_expr,
     parse_rational,
     refute_square_tiling,
-    sqrt2_expr_to_num,
     validate,
 )
 
 from sqtile.cli import DEFAULT_ENCLOSURES
 from sqtile.exactnum import MAX_GENERATORS, rational_text
 
-from conftest import bouwkamp_tiling, tight_enclosure, tight_table, workloads
-
-getcontext().prec = 60
-SQRT2_DECIMAL = Decimal(2).sqrt()
+from conftest import (
+    bouwkamp_tiling,
+    q2,
+    q2_conj,
+    q2_mul,
+    q2_pair,
+    sign,
+    sign_oracle,
+    tight_enclosure,
+    tight_table,
+    workloads,
+)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=100)
-sqrt2nums = st.builds(Sqrt2Num, rationals, rationals)
+sqrt2nums = st.builds(q2, rationals, rationals)
 
 
 @pytest.fixture(scope="module")
@@ -98,58 +106,42 @@ def test_parse_rational():
 
 
 def test_conjugate_examples():
-    assert Sqrt2Num(1, 1).conj() == Sqrt2Num(1, -1)
-    a = Sqrt2Num(Fraction(5, 7))
-    assert a.conj() == a  # rational fixed point
-    s = Sqrt2Num(3, -5)
-    assert s.conj().conj() == s  # involution
+    assert q2_conj(q2(1, 1)) == q2(1, -1)
+    a = q2(Fraction(5, 7))
+    assert q2_conj(a) == a  # rational fixed point
+    s = q2(3, -5)
+    assert q2_conj(q2_conj(s)) == s  # involution
 
 
 def test_sqrt2_arith_examples():
-    one_plus = Sqrt2Num(1, 1)
-    assert one_plus * one_plus == Sqrt2Num(3, 2)
-    assert one_plus * Sqrt2Num(1, -1) == Sqrt2Num(-1)
-    s = Sqrt2Num(2, 1)
-    assert s * Sqrt2Num(1) == s
-    assert s + Sqrt2Num(0) == s
+    one_plus = q2(1, 1)
+    assert q2_mul(one_plus, one_plus) == q2(3, 2)
+    assert q2_mul(one_plus, q2(1, -1)) == q2(-1)
+    s = q2(2, 1)
+    assert q2_mul(s, q2(1)) == s
+    assert s + q2(0) == s
 
 
 @given(sqrt2nums, sqrt2nums)
 def test_conjugation_is_a_homomorphism(s, t):
-    assert (s + t).conj() == s.conj() + t.conj()
-    assert (s * t).conj() == s.conj() * t.conj()
+    assert q2_conj(s + t) == q2_conj(s) + q2_conj(t)
+    assert q2_conj(q2_mul(s, t)) == q2_mul(q2_conj(s), q2_conj(t))
 
 
 @given(sqrt2nums)
 def test_conjugation_involution_and_fixed_points(s):
-    assert s.conj().conj() == s
-    assert (s.conj() == s) == (s.b == 0)
-
-
-@given(st.one_of(st.integers(), st.fractions()))
-def test_rational_element_equals_and_hashes_as_its_rational(q):
-    assert q == Sqrt2Num(q) and Sqrt2Num(q) == q
-    assert hash(q) == hash(Sqrt2Num(q))
-    assert len({q, Sqrt2Num(q)}) == 1
-
-
-def _sign_oracle(s: Sqrt2Num) -> int:
-    """Independent sign via 60-digit decimal evaluation."""
-    v = (
-        Decimal(s.a.numerator) / Decimal(s.a.denominator)
-        + Decimal(s.b.numerator) / Decimal(s.b.denominator) * SQRT2_DECIMAL
-    )
-    return 0 if v == 0 else (1 if v > 0 else -1)
+    assert q2_conj(q2_conj(s)) == s
+    assert (q2_conj(s) == s) == (q2_pair(s)[1] == 0)
 
 
 @given(sqrt2nums)
 def test_exact_sign_matches_decimal_oracle(s):
-    assert s.sign() == _sign_oracle(s)
+    assert sign(s) == sign_oracle(s)
 
 
 @given(sqrt2nums, sqrt2nums)
 def test_ordering_consistent_with_sign(s, t):
-    assert (s == t) == ((s - t).sign() == 0)
+    assert (s == t) == (s.cmp(t) == EQUAL) == (sign(s - t) == EQUAL)
 
 
 # --- generators and tables ---------------------------------------------------
@@ -346,6 +338,65 @@ def test_cmp_agrees_with_difference_enclosure(a, b):
             assert a.cmp(b) == (GREATER if lo > 0 else LESS)
 
 
+# --- the exact sign of roots ------------------------------------------------
+
+
+def _sqrt2_convergents(digits: int):
+    """Two consecutive convergents p/q of sqrt2 with ``digits`` or more
+    digits in q, one on each side of sqrt2."""
+    p, q = 1, 1
+    while q < 10 ** (digits - 1):
+        p, q = p + 2 * q, p + q
+    return (p, q), (p + 2 * q, p + q)
+
+
+def test_exact_sign_of_a_4000_digit_convergent():
+    """q*sqrt2 against p differs by about 10**-4000 when p/q is a
+    4,000-digit convergent: ordered exactly, both ways round, both sides
+    of sqrt2, at the built-in bracket."""
+    table = KERNEL_TABLES[0]
+    pairs = _sqrt2_convergents(4000)
+    start = time.perf_counter()
+    for p, q in pairs:
+        root, rational = LinExpr(table, {1: q}), LinExpr.constant(table, p)
+        want = GREATER if p * p < 2 * q * q else LESS
+        assert (root.cmp(rational), rational.cmp(root)) == (want, -want)
+    assert time.perf_counter() - start < 1
+    assert {p * p < 2 * q * q for p, q in pairs} == {True, False}
+
+
+def test_exact_sign_of_a_near_tie_over_three_roots():
+    """c2*sqrt2 + c3*sqrt3 + c5*sqrt5 with 30-digit c against the integers
+    on either side of it: the difference's enclosure at the built-in
+    brackets is about 10**18 wide, and the oracle gives the answer."""
+    table = KERNEL_TABLES[0]
+    rng = random.Random(29)
+    for _ in range(20):
+        coeffs = [rng.randint(-(10**30), 10**30) for _ in range(3)]
+        roots = LinExpr(table, dict(zip((1, 2, 3), coeffs)))
+        with localcontext() as ctx:
+            ctx.prec = 100
+            n = math.floor(sum(c * Decimal(r).sqrt() for c, r in zip(coeffs, (2, 3, 5))))
+        assert (sign_oracle(roots - n), sign_oracle(roots - (n + 1))) == (1, -1)
+        for k, want in ((n, GREATER), (n + 1, LESS)):
+            rational = LinExpr.constant(table, k)
+            d_lo, d_hi = (roots - rational).eval_interval()
+            assert d_lo < 0 < d_hi
+            assert (roots.cmp(rational), rational.cmp(roots)) == (want, -want)
+
+
+def test_exact_sign_never_trusts_another_generator():
+    """A difference over the unit and roots is ordered exactly however
+    wide the brackets; one with a user generator left in raises."""
+    table = GeneratorTable([Generator("sqrt2", Fraction(1), Fraction(2)), Generator("g", Fraction(1), Fraction(2))])
+    e = lambda text: parse_expr(text, table)
+    assert e("1*sqrt2").cmp(e("3/2")) == LESS
+    assert e("1*sqrt2 + 1*g").cmp(e("7/5 + 1*g")) == GREATER  # g cancels
+    for a, b in (("1*g", "3/2"), ("1*sqrt2 + 1/1000*g", "3/2"), ("1*sqrt2 - 1*g", "0")):
+        with pytest.raises(AmbiguousComparison, match="cannot order "):
+            e(a).cmp(e(b))
+
+
 # --- the integer enclosure kernel against termwise Fraction arithmetic -------
 
 
@@ -366,8 +417,9 @@ def _ref_eval_interval(e: LinExpr) -> tuple:
 
 
 def _ref_cmp(a: LinExpr, b: LinExpr) -> int:
-    """Sign of the difference's reference enclosure, as in
-    ``tests/test_validate_reference.py``."""
+    """Sign of the difference's reference enclosure, or where that
+    contains 0 the Decimal oracle's sign for a difference over the unit
+    and roots alone, as in ``tests/test_validate_reference.py``."""
     if a == b:
         return EQUAL
     lo, hi = _ref_eval_interval(a - b)
@@ -375,6 +427,9 @@ def _ref_cmp(a: LinExpr, b: LinExpr) -> int:
         return GREATER
     if hi < 0:
         return LESS
+    exact = sign_oracle(a - b)
+    if exact is not None:
+        return exact
     raise AmbiguousComparison(
         f"cannot order {a} against {b}: enclosures overlap; "
         "declare tighter generator enclosures"
@@ -432,6 +487,8 @@ def kernel_pairs(draw):
 @example((LinExpr(KERNEL_TABLES[1], {1: Fraction(-3, 7)}), LinExpr(KERNEL_TABLES[1])))
 @example((LinExpr(KERNEL_TABLES[2], {1: 1}), LinExpr(KERNEL_TABLES[2], {0: -3})))  # ambiguous
 @example((LinExpr(KERNEL_TABLES[2], {0: 2}), LinExpr(KERNEL_TABLES[2], {1: 1})))  # touching
+# sqrt2 - 14142135623730/10^13 > 0, inside the built-in bracket's width
+@example((LinExpr(KERNEL_TABLES[0], {1: 1}), LinExpr(KERNEL_TABLES[0], {0: Fraction(14142135623730, 10**13)})))
 def test_kernel_matches_termwise_fraction_reference(pair):
     a, b = pair
     # the first round evaluates; the second answers from cached bounds and hashes
@@ -471,18 +528,18 @@ def near_pairs(draw):
 @given(st.one_of(kernel_pairs(), near_pairs()))
 # sqrt2 - 275807/195025 > 0 certified, enclosures overlapping
 @example((parse_expr("10*sqrt2", KERNEL_TABLES[0]), parse_expr("9*sqrt2 + 275807/195025", KERNEL_TABLES[0])))
+# a near tie that only the exact sign orders
+@example((parse_expr("1*sqrt2", KERNEL_TABLES[0]), parse_expr("14142135623730/10000000000000", KERNEL_TABLES[0])))
 def test_certified_greater_has_the_greater_lower_bound(pair):
     """An enclosure is the exact range of its expression over the box of
-    generator brackets.  So a certified a > b holds on the whole box and
-    forces lo(a) > lo(b): the lower-bound order of values that certify is
-    their ``cmp`` order, the order ``validate`` sorts cuts by."""
+    generator brackets.  So an a > b that the difference's enclosure
+    certifies holds on the whole box and forces lo(a) > lo(b): the
+    lower-bound order of such values is their ``cmp`` order, which
+    ``certified_order`` confirms pair by pair."""
     a, b = pair
     for x, y in ((a, b), (b, a)):
-        try:
-            c = x.cmp(y)
-        except AmbiguousComparison:
-            continue
-        if c == GREATER:
+        if (x - y).eval_interval()[0] > 0:
+            assert x.cmp(y) == GREATER
             assert x.eval_interval()[0] > y.eval_interval()[0]
 
 
@@ -634,7 +691,7 @@ def _records(table):
         decide(one, sqrt2),
         decide(one, one * 2),
         refute_square_tiling(t),
-        analyze_good_squares([Sqrt2Num(1, 1)], Sqrt2Num(1), Sqrt2Num(1, 1)),
+        analyze_good_squares([q2(1, 1, table)], q2(1, 0, table), q2(1, 1, table)),
     ]
 
 
@@ -661,22 +718,15 @@ def test_copy_and_pickle_round_trip():
                     delattr(c, name)
     for _ in range(20):
         e, other = _random_expr(rng, table), _random_expr(rng, table)
-        s = Sqrt2Num(Fraction(rng.randint(-30, 30), rng.randint(1, 12)), rng.randint(-30, 30))
         hash(e), e.eval_interval()  # fill the write-once slots first
         for trip in round_trips:
             c = trip(e)
             assert c == e and hash(c) == hash(e)
             assert c.cmp(e) == EQUAL and c.cmp(other) == e.cmp(other)
-            d = trip(s)
-            assert d == s and hash(d) == hash(s) and d.sign() == s.sign()
             with pytest.raises(AttributeError):
                 c._hash = 0
             with pytest.raises(AttributeError):
-                d.a = 0
-            with pytest.raises(AttributeError):
                 del c._hash
-            with pytest.raises(AttributeError):
-                del d.a
             assert c.table == table and c.table._brackets == table._brackets
     # a table compares, hashes and pickles by its generators; a basis by identity
     lengths = [LinExpr.constant(table, 1), parse_expr("1*sqrt2", table), parse_expr("2 + 3*sqrt2", table)]
@@ -928,18 +978,9 @@ def test_format_parse_round_trip(table):
     assert format_expr(LinExpr.zero(table)) == "0"
 
 
-def test_sqrt2_expr_to_num(table):
-    e = parse_expr("3/2 - 2*sqrt2", table)
-    assert sqrt2_expr_to_num(e) == Sqrt2Num(Fraction(3, 2), -2)
-    with pytest.raises(ValueError):
-        sqrt2_expr_to_num(parse_expr("1*sqrt3", table))
-
-
 @given(st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**20))
 def test_rational_text_matches_str(q):
     assert rational_text(q) == str(q)
-    assert str(Sqrt2Num(0, q)) == (f"{q}*sqrt2" if q else "0")
-    assert str(Sqrt2Num(1, q)) == (f"1 {'-' if q < 0 else '+'} {abs(q)}*sqrt2" if q else "1")
 
 
 def test_rational_text_past_the_int_digit_limit():

@@ -4,7 +4,10 @@ The reference below is the validator as it was before cut values shared
 one object and comparisons answered from cached enclosures: every bound
 check builds ``hi - lo`` and compares it with 0, every comparison builds
 the difference of its two sides and evaluates that enclosure, and the
-cuts are sorted with that comparison.  It reports every ambiguity as a
+cuts are sorted with that comparison.  Where the difference's enclosure
+contains 0 and the difference lies on the unit and roots alone, the
+Decimal oracle ``conftest.sign_oracle`` orders the pair, as the exact
+sign of ``LinExpr.cmp`` does.  It reports every ambiguity as a
 failure of kind "ambiguous"; ``validate`` raises AmbiguousComparison at
 the first one instead.  So ``validate`` must raise exactly when the
 reference reports an ambiguity, naming a pair whose difference is the
@@ -38,7 +41,7 @@ from sqtile import (
 )
 from sqtile.tiling import Failure, ValidationReport
 
-from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, tight_table
+from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, sign_oracle, tight_table
 
 
 def _ref_cmp(a: LinExpr, b: LinExpr) -> int:
@@ -49,6 +52,9 @@ def _ref_cmp(a: LinExpr, b: LinExpr) -> int:
         return GREATER
     if hi < 0:
         return LESS
+    exact = sign_oracle(a - b)
+    if exact is not None:
+        return exact
     raise AmbiguousComparison(
         f"cannot order {a} against {b}: enclosures overlap; "
         "declare tighter generator enclosures"
@@ -261,6 +267,21 @@ def test_coarse_tilings_and_mutations_match_reference():
             want = _assert_same(case)
             outcomes.add(any(f["kind"] == "ambiguous" for f in want["failures"]))
     assert outcomes == {True, False}
+
+
+def test_root_tilings_at_coarse_brackets_match_reference():
+    """sqrt2 and sqrt3 bracketed by [1, 2]: most cut pairs overlap, the
+    exact sign orders them, and nothing is ambiguous."""
+    table = GeneratorTable([Generator(f"sqrt{n}", Fraction(1), Fraction(2)) for n in (2, 3)])
+    e = lambda s: parse_expr(s, table)
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(15):
+        t = guillotine_tiling(rng, e("2 + 1*sqrt3"), e("1 + 1*sqrt2"), depth=4)
+        assert _assert_same(t)["verdict"] == "valid"
+        for m in _mutations(rng, t):
+            kinds.update(f["kind"] for f in _assert_same(m)["failures"])
+    assert "ambiguous" not in kinds and {"gap", "overlap"} <= kinds
 
 
 @pytest.mark.parametrize("name", sorted(BOUWKAMP_CODES))
