@@ -35,7 +35,6 @@ from .tiling import (
     validate,
 )
 from .hamel import (
-    Contradiction,
     GoodSquareAnalysis,
     additivity_check,
     analyze_good_squares,

@@ -26,16 +26,16 @@ from .exactnum import (
     Generator,
     GeneratorTable,
     LinExpr,
+    _named_roots,
     format_expr,
     parse_expr,
     parse_rational,
     rational_text,
 )
-from .hamel import Contradiction, _pair, analyze_good_squares
+from .hamel import _pair, analyze_good_squares
 from .tiling import Placement, Tiling, validate
 
 __all__ = [
-    "DEFAULT_ENCLOSURES",
     "parse_document",
     "serialize_document",
     "document_from_tiling",
@@ -52,15 +52,6 @@ EXIT_AMBIGUOUS = 3
 MAX_SQUARES = 100_000  # construct's limit; each square holds about 2 KB
 MAX_PRECISION = 10_000  # render's limit on digits past the point, which size the SVG
 
-# Convergent brackets, all correct to at least 10 decimal digits.  A
-# document (or CLI expression) may use these symbols without spelling
-# out an enclosure; anything else needs an explicit [lo, hi].
-DEFAULT_ENCLOSURES = {
-    "sqrt2": (Fraction(1607521, 1136689), Fraction(665857, 470832)),
-    "sqrt3": (Fraction(9973081, 5757961), Fraction(3650401, 2107560)),
-    "sqrt5": (Fraction(3940598, 1762289), Fraction(16692641, 7465176)),
-}
-
 _TILE_KEYS = {"x", "y", "w", "h"}
 
 
@@ -72,8 +63,8 @@ def _expect(cond, message, **loc):
 def parse_document(text) -> dict:
     """Parse document text (bytes or str) into its canonical JSON object:
     ``{"generators": [{"symbol", "lo", "hi"}], "outer": {"w", "h"},
-    "tiles": [{"x", "y", "w", "h"}]}`` in that key order, with built-in
-    brackets filled in.
+    "tiles": [{"x", "y", "w", "h"}]}`` in that key order, with the
+    computed bracket of each root declared without one filled in.
 
     Checks the JSON schema and the generator declarations; expression
     strings are validated later, against the built table, by
@@ -110,11 +101,9 @@ def parse_document(text) -> dict:
         if "lo" in g or "hi" in g:
             _expect("lo" in g and "hi" in g, f"generator {clip(symbol, repr)} needs both lo and hi")
             lo, hi = g["lo"], g["hi"]
-        elif symbol in DEFAULT_ENCLOSURES:
-            dlo, dhi = DEFAULT_ENCLOSURES[symbol]
-            lo, hi = str(dlo), str(dhi)
-        else:
-            raise DocumentError(f"generator {clip(symbol, repr)} has no enclosure and no default is known")
+        else:  # a sqrtN takes its computed bracket; any other symbol is refused
+            root = Generator(symbol)
+            lo, hi = rational_text(root.lo), rational_text(root.hi)
         _expect(isinstance(lo, str) and isinstance(hi, str),
                 f"generator {clip(symbol, repr)} enclosure bounds must be rational strings")
         gens.append({"symbol": symbol, "lo": lo, "hi": hi})
@@ -148,9 +137,9 @@ def serialize_document(doc: dict) -> str:
 
 
 def _table(decls, flags) -> GeneratorTable:
-    """The table of ``decls``, (symbol, lo, hi) in order.  Each Generator
-    in ``flags`` replaces the entry of its symbol, or follows the
-    declarations if its symbol is new."""
+    """The table of ``decls``, (symbol, lo, hi) in order, None bounds for
+    a root's computed bracket.  Each Generator in ``flags`` replaces the
+    entry of its symbol, or follows the declarations if its symbol is new."""
     flags = {g.symbol: g for g in flags}
     gens = [flags.pop(sym, None) or Generator(sym, lo, hi) for sym, lo, hi in decls]
     return GeneratorTable(gens + list(flags.values()))
@@ -277,9 +266,9 @@ def _gen_flags(args) -> tuple:
     return GeneratorTable(_parse_gen_flag(s) for s in args.gen).generators
 
 
-def _expr_table(args) -> GeneratorTable:
-    """The table for bare expressions: the built-in brackets, then --gen."""
-    return _table(((sym, lo, hi) for sym, (lo, hi) in DEFAULT_ENCLOSURES.items()), _gen_flags(args))
+def _expr_table(args, texts) -> GeneratorTable:
+    """The table for bare expressions: the roots that ``texts`` name, then --gen."""
+    return _table(((sym, None, None) for sym in _named_roots(texts)), _gen_flags(args))
 
 
 def _read_document(path: str) -> dict:
@@ -324,7 +313,7 @@ def _cmd_validate(args):
 
 def _cmd_decide(args):
     y = _negative_y(args.y)
-    table = _expr_table(args)
+    table = _expr_table(args, (args.width, args.height))
     w = parse_expr(args.width, table)
     h = parse_expr(args.height, table)
     verdict = decide(w, h, y=y)
@@ -378,7 +367,7 @@ def _cmd_construct(args):
 
 
 def _cmd_analyze_good(args):
-    table = _expr_table(args)
+    table = _expr_table(args, (args.width, args.height, *args.side))
 
     def positive(flag, text):
         value = parse_expr(text, table)
@@ -396,9 +385,9 @@ def _cmd_analyze_good(args):
     lines = [
         f"A = {report['A']}, B = {report['B']}, C = {report['C']}",
         f"area identity holds: {analysis.area_identity_holds}",
-        f"contradiction: {analysis.contradiction.value}",
+        f"contradiction: {report['contradiction']}",
     ]
-    code = EXIT_OK if analysis.contradiction is Contradiction.NONE else EXIT_REFUTED
+    code = EXIT_OK if analysis.area_identity_holds else EXIT_REFUTED
     return code, payload, lines
 
 

@@ -56,7 +56,7 @@ MAX_GENERATORS = 32
 RATIONAL_PATTERN = r"-?[0-9]+(?:/[0-9]+)?"  # not \d, which matches every script's digits
 IDENT_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
 _RATIONAL_RE = re.compile(RATIONAL_PATTERN)
-_IDENT_RE = re.compile(IDENT_PATTERN + r"\Z")
+_IDENT_RE = re.compile(IDENT_PATTERN)  # in a text, each match is one whole identifier token
 _ROOT_RE = re.compile(r"sqrt0*([1-9][0-9]*)\Z")
 
 
@@ -142,17 +142,25 @@ class Generator(Value):
 
     Enclosures straddling zero are rejected: sign reasoning would be
     unsound.  A ``sqrtN`` enclosure must contain the root: lo|lo| <= N <=
-    hi|hi|, as t|t| increases.  Such a bracket only speeds comparisons
-    up: what the enclosures cannot settle about roots, the exact sign does.
-    Q-linear independence of the generators (and the unit) is a trusted
-    assumption, never verified, except for the ``sqrtN`` symbols that
-    ``GeneratorTable`` checks.
+    hi|hi|, as t|t| increases.  Built without one, a ``sqrtN`` gets
+    [r, r + 1] / 2**64, r = isqrt(N << 128).  Such a bracket only speeds
+    comparisons up: what the enclosures cannot settle about roots, the
+    exact sign does.  Q-linear independence of the generators (and the
+    unit) is a trusted assumption, never verified, except for the
+    ``sqrtN`` symbols that ``GeneratorTable`` checks.
     """
 
     __slots__ = ("symbol", "lo", "hi")
 
-    def __init__(self, symbol: str, lo: Fraction, hi: Fraction):
-        if not symbol or not _IDENT_RE.match(symbol):
+    def __init__(self, symbol: str, lo: Fraction | None = None, hi: Fraction | None = None):
+        root = _ROOT_RE.match(symbol)
+        n = root and int(Decimal(root[1]))  # Decimal reads N at any length; int(str) stops at 4,300 digits
+        if lo is None and hi is None:
+            if not root:
+                raise DocumentError(f"generator {clip(symbol, repr)} has no enclosure and no default is known")
+            r = _root_floor(n)
+            lo, hi = Fraction(r, 2**64), Fraction(r + 1, 2**64)
+        if not symbol or not _IDENT_RE.fullmatch(symbol):
             raise DocumentError("generator symbol must be an identifier", token=symbol)
         if symbol == UNIT_SYMBOL:
             raise DocumentError("the unit symbol '1' is implicit and cannot be declared")
@@ -160,9 +168,7 @@ class Generator(Value):
             raise DocumentError(f"generator {clip(symbol)}: enclosure needs lo < hi, got [{lo}, {hi}]")
         if lo < 0 < hi:
             raise DocumentError(f"generator {clip(symbol)}: enclosure [{lo}, {hi}] contains zero")
-        root = _ROOT_RE.match(symbol)
-        # Decimal reads N at any length; int(str) stops at 4,300 digits
-        if root and not lo * abs(lo) <= int(Decimal(root[1])) <= hi * abs(hi):
+        if root and not lo * abs(lo) <= n <= hi * abs(hi):
             raise DocumentError(
                 f"generator {clip(symbol)}: enclosure [{rational_text(lo)}, "
                 f"{rational_text(hi)}] does not contain the square root of {clip(root[1])}"
@@ -446,26 +452,37 @@ _set_table, _set_den, _set_nums, _set_hash, _set_enclosure = (
 )
 
 
+def _root_floor(n: int, k: int = 64) -> int:
+    """The r with r <= 2**k * sqrt(n) < r + 1, the bracket [r, r + 1] / 2**k of sqrt(n)."""
+    return isqrt(n << 2 * k)
+
+
 def _root_sign(nums: tuple, radicands: tuple) -> int:
     """The sign of sum(p * sqrt(n)) over the nonzero numerators ``p`` and
     their positive radicands ``n``, exactly: LESS or GREATER.
 
-    Each root is bracketed at 2**-k by ``isqrt``, r <= 2**k * sqrt(n) <
-    r + 1 (a negative numerator swaps the ends), and k doubles from 64
-    until the bracket of the sum excludes 0.  The sum is not 0, as the
-    roots of a table are Q-independent with the unit, so this ends.
+    Each root is bracketed at 2**-k by ``_root_floor`` (a negative
+    numerator swaps the ends), and k doubles from 64 until the bracket
+    of the sum excludes 0.  The sum is not 0, as the roots of a table
+    are Q-independent with the unit, so this ends.
     """
     k = 64
     while True:
         lo = hi = 0
         for p, n in compress(zip(nums, radicands), nums):
-            r = isqrt(n << 2 * k)
+            r = _root_floor(n, k)
             lo, hi = (lo + p * r, hi + p * (r + 1)) if p > 0 else (lo + p * (r + 1), hi + p * r)
         if lo > 0:
             return GREATER
         if hi < 0:
             return LESS
         k *= 2
+
+
+def _named_roots(texts) -> list:
+    """The ``sqrtN`` whole identifiers in ``texts``, once each, by increasing N, ties as first seen."""
+    digits = {m[0]: m[1] for text in texts for m in map(_ROOT_RE.match, _IDENT_RE.findall(text)) if m}
+    return sorted(digits, key=lambda s: (len(digits[s]), digits[s]))  # N has no leading zeros
 
 
 def _reduced(den: int, nums: tuple, bound: int) -> tuple:

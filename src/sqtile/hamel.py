@@ -11,7 +11,6 @@ is an identity of rationals, not an approximation.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 
 from .basis import Basis
@@ -20,7 +19,6 @@ from .exactnum import LinExpr, Value, rational_text
 from .tiling import Tiling, validate
 
 __all__ = [
-    "Contradiction",
     "GoodSquareAnalysis",
     "x_area",
     "x_area_nonneg_for_all_x",
@@ -53,6 +51,8 @@ def x_area(w: LinExpr, h: LinExpr, x):
     u, v = _pair(x)
     # (p + q*r)(s + t*r) = (ps + 2qt) + (pt + qs)*r  with r*r = 2
     p, q, s, t = a + b * u, b * v, c + d * u, d * v
+    if p * t + q * s == 0:  # rational, so w's table need not hold sqrt2
+        return LinExpr.constant(w.table, p * s + 2 * q * t)
     return LinExpr(w.table, {0: p * s + 2 * q * t, w.table.index("sqrt2"): p * t + q * s})
 
 
@@ -107,11 +107,6 @@ def _y_area_sums(t: Tiling, basis: Basis, y) -> tuple:
     return outer, total
 
 
-class Contradiction(Enum):
-    AREA_MISMATCH = "area_mismatch"
-    NONE = "none"
-
-
 class GoodSquareAnalysis(Value):
     """Outcome of testing a claimed decomposition into squares in Q(sqrt2).
 
@@ -119,7 +114,7 @@ class GoodSquareAnalysis(Value):
     of the squares' areas is (A + 2B) + 2C*sqrt2.
     """
 
-    __slots__ = ("A", "B", "C", "area_identity_holds", "contradiction")
+    __slots__ = ("A", "B", "C", "area_identity_holds")
 
     def as_dict(self) -> dict:
         return {
@@ -127,7 +122,7 @@ class GoodSquareAnalysis(Value):
             "B": rational_text(self.B),
             "C": rational_text(self.C),
             "area_identity_holds": self.area_identity_holds,
-            "contradiction": self.contradiction.value,
+            "contradiction": "none" if self.area_identity_holds else "area_mismatch",
         }
 
 
@@ -136,8 +131,8 @@ def analyze_good_squares(sides, target_w: LinExpr, target_h: LinExpr) -> GoodSqu
 
     Every value is a LinExpr over {1, sqrt2}.  Computes A = sum(a_i^2),
     B = sum(b_i^2), C = sum(a_i*b_i) and compares the total square area
-    (A + 2B) + 2C*sqrt2 against the target area.  The contradiction is
-    AREA_MISMATCH exactly when that identity fails.  A negative conjugate
+    (A + 2B) + 2C*sqrt2 against the target area.  The analysis reports an
+    area mismatch exactly when that identity fails.  A negative conjugate
     target area needs no verdict of its own: the conjugate of the square
     area, sum((a_i - b_i*sqrt2)^2), is never negative, so the identity
     already fails for such a target.
@@ -150,5 +145,4 @@ def analyze_good_squares(sides, target_w: LinExpr, target_h: LinExpr) -> GoodSqu
     C = sum((a * b for a, b in pairs), Fraction(0))
     (a, b), (c, d) = _pair(target_w), _pair(target_h)
     identity = (a * c + 2 * b * d, a * d + b * c) == (A + 2 * B, 2 * C)
-    kind = Contradiction.NONE if identity else Contradiction.AREA_MISMATCH
-    return GoodSquareAnalysis(A, B, C, identity, kind)
+    return GoodSquareAnalysis(A, B, C, identity)

@@ -50,6 +50,15 @@ def tight_enclosure(n: int, digits: int = 60):
     return Fraction(root, scale), Fraction(root + 1, scale)
 
 
+# Continued-fraction convergent brackets of sqrt2, sqrt3 and sqrt5, each
+# about 1e-12 wide, with lo and hi over different denominators.
+CONVERGENT_BRACKETS = {
+    "sqrt2": (Fraction(1607521, 1136689), Fraction(665857, 470832)),
+    "sqrt3": (Fraction(9973081, 5757961), Fraction(3650401, 2107560)),
+    "sqrt5": (Fraction(3940598, 1762289), Fraction(16692641, 7465176)),
+}
+
+
 def tight_table(*roots: int) -> GeneratorTable:
     """Table of sqrtN generators with very tight certified enclosures."""
     return GeneratorTable(

@@ -23,6 +23,7 @@ from sqtile import (
     AmbiguousComparison,
     Certificate,
     DocumentError,
+    Generator,
     InvalidTiling,
     Placement,
     Tiling,
@@ -33,7 +34,6 @@ from sqtile import (
     verify_certificate,
 )
 from sqtile.cli import (
-    DEFAULT_ENCLOSURES,
     build_tiling,
     document_from_tiling,
     parse_document,
@@ -54,15 +54,22 @@ from conftest import (
 )
 
 
-# --- default enclosures -------------------------------------------------------
+# --- computed root brackets ---------------------------------------------------
+
+_LONG_N = "7" * 5000  # past the 4,300 digits that int(str) reads
 
 
-@pytest.mark.parametrize("symbol,n", [("sqrt2", 2), ("sqrt3", 3), ("sqrt5", 5)])
+@pytest.mark.parametrize(
+    "symbol,n",
+    [("sqrt2", 2), ("sqrt3", 3), ("sqrt5", 5), ("sqrt7", 7),
+     pytest.param(f"sqrt{_LONG_N}", int(Decimal(_LONG_N)), id="sqrt-5000-digits")],
+)
 def test_default_enclosures_bracket_tightly(symbol, n):
-    lo, hi = DEFAULT_ENCLOSURES[symbol]
-    assert 0 < lo < hi
-    assert lo * lo < n < hi * hi
-    assert hi - lo <= Fraction(1, 10**10)  # at least 10 correct digits
+    """A root built without bounds gets a bracket 2**-64 wide that holds it."""
+    g = Generator(symbol)
+    assert 0 < g.lo < g.hi
+    assert g.lo * g.lo <= n <= g.hi * g.hi
+    assert g.hi - g.lo == Fraction(1, 2**64)
 
 
 # --- document parsing ---------------------------------------------------------
@@ -129,16 +136,19 @@ def test_parse_document_schema_errors():
 
 
 def test_declared_known_symbol_gets_default_enclosure():
-    doc = parse_document(
-        b'{"generators": [{"symbol": "sqrt2"}],'
-        b' "outer": {"w": "1", "h": "1*sqrt2"},'
-        b' "tiles": [{"x":"0","y":"0","w":"1","h":"1*sqrt2"}]}'
-    )
-    g = doc["generators"][0]
-    assert Fraction(g["lo"]) == DEFAULT_ENCLOSURES["sqrt2"][0]
-    assert Fraction(g["hi"]) == DEFAULT_ENCLOSURES["sqrt2"][1]
-    _, tiling = build_tiling(doc)
-    assert validate(tiling).is_valid
+    """Any root declared without a bracket gets its computed one, as text
+    in the canonical object, which round-trips."""
+    for root in ("sqrt2", "sqrt7"):
+        doc = parse_document(
+            f'{{"generators": [{{"symbol": "{root}"}}],'
+            f' "outer": {{"w": "1", "h": "1*{root}"}},'
+            f' "tiles": [{{"x":"0","y":"0","w":"1","h":"1*{root}"}}]}}'
+        )
+        g = doc["generators"][0]
+        assert (Fraction(g["lo"]), Fraction(g["hi"])) == (Generator(root).lo, Generator(root).hi)
+        assert parse_document(serialize_document(doc)) == doc
+        _, tiling = build_tiling(doc)
+        assert validate(tiling).is_valid
 
 
 def test_zero_containing_enclosure_rejected():
@@ -507,7 +517,7 @@ def test_cli_decide_not_tilable(capsys):
 
 
 def test_cli_decide_tilable_default_enclosures(capsys):
-    # well-known generators need no --gen flag
+    # roots need no --gen flag
     code, out = run(capsys, "decide", "--width", "2 + 2*sqrt2", "--height", "3 + 3*sqrt2")
     assert code == 0
     assert "3/2" in out
@@ -677,7 +687,9 @@ def test_cli_provably_dependent_roots_exit_2(tmp_path, capsys):
     sqrt8 = "sqrt8=[28284271247/10000000000,28284271248/10000000000]"
     multiple = "generator sqrt8 is a rational multiple of sqrt2: sqrt8 = 2*sqrt2"
     assert _input_error(capsys, "decide", "--width", "1*sqrt8", "--height", "2*sqrt2", "--gen", sqrt8) == multiple
-    assert _input_error(capsys, "decide", "--width", "1*sqrt8", "--height", "1", "--gen", sqrt8) == multiple
+    # with sqrt2 named nowhere, sqrt8 stands alone, declared or not
+    assert run(capsys, "decide", "--width", "1*sqrt8", "--height", "1", "--gen", "sqrt8=[2,3]")[0] == 1
+    assert run(capsys, "decide", "--width", "1*sqrt8", "--height", "1")[0] == 1
     rational = "generator sqrt4 is rational: sqrt4 = 2"
     assert _input_error(capsys, "decide", "--width", "1*sqrt4", "--height", "2", "--gen", "sqrt4=[1,3]") == rational
     path = _write(
@@ -685,6 +697,23 @@ def test_cli_provably_dependent_roots_exit_2(tmp_path, capsys):
         [("0", "0", "1*sqrt12", "1")],
     )
     assert _input_error(capsys, "validate", path) == "generator sqrt12 is a rational multiple of sqrt3: sqrt12 = 2*sqrt3"
+
+
+def test_cli_every_root_is_built_in(capsys):
+    """Any sqrtN needs no bracket in a bare expression."""
+    code, out = run(capsys, "decide", "--width", "1*sqrt7", "--height", "1")
+    assert (code, out.splitlines()[0]) == (1, "not tilable by squares")
+    code, out = run(capsys, "decide", "--width", "1*sqrt7", "--height", "1", "--format", "json")
+    assert (code, json.loads(out)["verdict"], json.loads(out)["certificate"]["y"]) == (1, "not_tilable", "-1")
+    assert run(capsys, "decide", "--width", "1*sqrt7", "--height", "3*sqrt7") == (0, "tilable: height/width = 3\n")
+    # only whole identifiers that match sqrtN are roots; equal N keep the order of first appearance
+    for name in ("sqrt0", "xsqrt8", "sqrt8x"):
+        assert _input_error(capsys, "decide", "--width", f"1*{name}", "--height", "1*sqrt2") == (
+            f"undeclared symbol '{name}' (near '{name}')"
+        )
+    assert _input_error(capsys, "decide", "--width", "1*sqrt02", "--height", "1*sqrt2") == (
+        "generator sqrt2 is a rational multiple of sqrt02: sqrt2 = 1*sqrt02"
+    )
 
 
 def test_cli_verify_refutes_rectangle_tiling(fig4_path, capsys):
@@ -762,17 +791,20 @@ def test_cli_document_declaring_a_symbol_twice_exit_2(tmp_path, capsys):
 
 
 def test_cli_generator_limit_exit_2(tmp_path, capsys):
-    """A table holds at most 32 generators, the built-ins of ``decide``
-    and ``analyze-good`` included."""
+    """A table holds at most 32 generators; for ``decide`` and
+    ``analyze-good``, the roots the expressions name and the flags."""
     limit = "a generator table holds at most 32 generators, got 33"
     gens = [(f"g{i}", "1", "2") for i in range(33)]
     for count, code in ((32, 0), (33, 2)):
         path = _write(tmp_path, f"wide{count}.tiling", gens[:count], ("1", "1"), [("0", "0", "1", "1")])
         assert run(capsys, "validate", path)[0] == code
     assert _input_error(capsys, "validate", path) == limit
-    flags = [arg for i in range(30) for arg in ("--gen", f"g{i}=[1,2]")]
+    flags = [arg for i in range(33) for arg in ("--gen", f"g{i}=[1,2]")]
     assert run(capsys, "decide", "--width", "1", "--height", "2", *flags[2:])[0] == 0
     assert _input_error(capsys, "decide", "--width", "1", "--height", "2", *flags) == limit
+    # a named root counts: 31 flags and sqrt7 fit, 32 and sqrt7 do not
+    assert run(capsys, "decide", "--width", "1*sqrt7", "--height", "2", *flags[4:])[0] == 1
+    assert _input_error(capsys, "decide", "--width", "1*sqrt7", "--height", "2", *flags[2:]) == limit
 
 
 def test_cli_overridden_document_bracket_is_still_checked(tmp_path, capsys):
@@ -782,10 +814,10 @@ def test_cli_overridden_document_bracket_is_still_checked(tmp_path, capsys):
 
 
 def test_cli_bare_expression_terms_follow_the_builtin_order(capsys):
-    """Bare expressions see sqrt2, sqrt3, sqrt5, then new --gen symbols, so a
-    printed expression does not depend on the order of the flags.  The
-    user generator g leaves the sign unsettled; without it the exact sign
-    of the roots answers, whatever their brackets."""
+    """Bare expressions see the roots they name by increasing N, then new
+    --gen symbols, so a printed expression does not depend on the order of
+    the flags.  The user generator g leaves the sign unsettled; without it
+    the exact sign of the roots answers, whatever their brackets."""
     argv = ["decide", "--width", "1*g + 1*sqrt3 - 1*sqrt2 - 1/3", "--height", "1"]
     for gens in (["sqrt3=[1,2]", "g=[1,2]", "sqrt2=[1,2]"], ["g=[1,2]", "sqrt2=[1,2]", "sqrt3=[1,2]"]):
         flags = [f for g in gens for f in ("--gen", g)]
@@ -796,6 +828,13 @@ def test_cli_bare_expression_terms_follow_the_builtin_order(capsys):
         )
         code, out = run(capsys, "decide", "--width", "1*sqrt3 - 1*sqrt2 - 1/3", "--height", "1", *flags)
         assert (code, out) == (2, "error: width must be positive\n")
+    # a --gen flag for a named root keeps the root's place, before g
+    argv = ["decide", "--width", "1*g + 1*sqrt7 - 3", "--height", "1", "--gen", "g=[1,2]", "--gen", "sqrt7=[2,3]"]
+    code, out = run(capsys, *argv)
+    assert (code, out.splitlines()[0]) == (
+        3, "ambiguous comparison: cannot order -3 + 1*sqrt7 + 1*g against 0: enclosures overlap; "
+        "declare tighter generator enclosures",
+    )
 
 
 def test_cli_ambiguous_exit_3(tmp_path, capsys):
@@ -869,9 +908,8 @@ def test_cli_analyze_good_refuses_nonpositive_sides(capsys):
 
 
 def test_cli_decide_and_analyze_good_agree_on_near_ties(capsys):
-    """sqrt2 - 14142135623730/10^13 is about 9.5e-14, inside the built-in
-    bracket's width: both commands find it positive, and the next
-    rational up negative, by the one exact sign."""
+    """sqrt2 - 14142135623730/10^13 is about 9.5e-14: both commands find
+    it positive, and the next rational up negative."""
     positive, negative = (f"1*sqrt2 - {n}/10000000000000" for n in (14142135623730, 14142135623731))
     # the same verdict and certificate as for a 1 x sqrt2 rectangle
     assert run(capsys, "decide", "--width", positive, "--height", "1") == run(
@@ -972,32 +1010,33 @@ def _root_tilings():
 
 def test_cli_root_brackets_decide_no_verdict(tmp_path, capsys):
     """validate, verify, decide and refute_square_tiling give the same
-    bytes with sqrt2 and sqrt3 bracketed by [1, 2] as with 60-digit
-    brackets; render, whose SVG uses the bracket midpoints, the same
-    exit code."""
+    bytes with sqrt2 and sqrt3 bracketed by [1, 2], by 60-digit brackets
+    and by none declared (the computed ones); render, whose SVG uses the
+    bracket midpoints, the same exit code."""
     brackets = {
         "coarse": {n: ("1", "2") for n in (2, 3)},
         "tight": {n: tuple(map(str, tight_enclosure(n))) for n in (2, 3)},
+        "computed": {2: (), 3: ()},
     }
     codes = set()
     for i, t in enumerate(_root_tilings()):
         seen = {}
         for name, bounds in brackets.items():
             doc = document_from_tiling(t)
-            doc["generators"] = [{"symbol": f"sqrt{n}", "lo": lo, "hi": hi} for n, (lo, hi) in bounds.items()]
+            doc["generators"] = [{"symbol": f"sqrt{n}", **dict(zip(("lo", "hi"), b))} for n, b in bounds.items()]
             path = tmp_path / f"{name}{i}.tiling"
             path.write_text(serialize_document(doc))
-            gens = [f for n, (lo, hi) in bounds.items() for f in ("--gen", f"sqrt{n}=[{lo},{hi}]")]
+            gens = [f for n, b in bounds.items() if b for f in ("--gen", f"sqrt{n}=[{b[0]},{b[1]}]")]
             outer = ["--width", doc["outer"]["w"], "--height", doc["outer"]["h"]]
             runs = [run(capsys, *argv, "--format", form)
                     for argv in (["validate", str(path)], ["verify", str(path)], ["decide", *outer, *gens])
                     for form in ("text", "json")]
             try:
-                refuted = refute_square_tiling(build_tiling(doc)[1]).as_dict()
+                refuted = refute_square_tiling(build_tiling(parse_document(path.read_bytes()))[1]).as_dict()
             except ValueError as exc:
                 refuted = str(exc)
             seen[name] = runs, refuted, run(capsys, "render", str(path))[0]
-        assert seen["coarse"] == seen["tight"]
+        assert seen["coarse"] == seen["tight"] == seen["computed"]
         codes.update([code for code, _ in seen["tight"][0]] + [seen["tight"][2]])
     assert codes == {0, 1}
 

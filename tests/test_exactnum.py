@@ -45,10 +45,10 @@ from sqtile import (
     validate,
 )
 
-from sqtile.cli import DEFAULT_ENCLOSURES
 from sqtile.exactnum import MAX_GENERATORS, rational_text
 
 from conftest import (
+    CONVERGENT_BRACKETS,
     bouwkamp_tiling,
     q2,
     q2_conj,
@@ -238,7 +238,7 @@ def test_table_rejects_provably_dependent_roots():
 
 
 def test_table_accepts_independent_roots():
-    builtin = [Generator(sym, *DEFAULT_ENCLOSURES[sym]) for sym in ("sqrt2", "sqrt3", "sqrt5")]
+    builtin = [Generator(sym, *CONVERGENT_BRACKETS[sym]) for sym in ("sqrt2", "sqrt3", "sqrt5")]
     table = GeneratorTable(builtin + [Generator(f"sqrt{n}", *workloads.enclosure(n)) for n in (6, 7, 10, 11, 13)])
     assert table.symbols[1:] == tuple(f"sqrt{n}" for n in workloads.RADICANDS)
     long_seven = int("7" * 500)
@@ -353,7 +353,7 @@ def _sqrt2_convergents(digits: int):
 def test_exact_sign_of_a_4000_digit_convergent():
     """q*sqrt2 against p differs by about 10**-4000 when p/q is a
     4,000-digit convergent: ordered exactly, both ways round, both sides
-    of sqrt2, at the built-in bracket."""
+    of sqrt2, at the convergent bracket."""
     table = KERNEL_TABLES[0]
     pairs = _sqrt2_convergents(4000)
     start = time.perf_counter()
@@ -367,7 +367,7 @@ def test_exact_sign_of_a_4000_digit_convergent():
 
 def test_exact_sign_of_a_near_tie_over_three_roots():
     """c2*sqrt2 + c3*sqrt3 + c5*sqrt5 with 30-digit c against the integers
-    on either side of it: the difference's enclosure at the built-in
+    on either side of it: the difference's enclosure at the convergent
     brackets is about 10**18 wide, and the oracle gives the answer."""
     table = KERNEL_TABLES[0]
     rng = random.Random(29)
@@ -441,14 +441,14 @@ def _negated(lo, hi):
 
 
 KERNEL_TABLES = (
-    # built-in brackets: lo and hi have different denominators
-    GeneratorTable(Generator(s, *DEFAULT_ENCLOSURES[s]) for s in ("sqrt2", "sqrt3", "sqrt5")),
+    # convergent brackets: lo and hi have different denominators
+    GeneratorTable(Generator(s, *CONVERGENT_BRACKETS[s]) for s in ("sqrt2", "sqrt3", "sqrt5")),
     # 60-digit brackets, one of them negative
     GeneratorTable(
         [
             Generator("sqrt7", *tight_enclosure(7)),
             Generator("msqrt11", *_negated(*tight_enclosure(11))),
-            Generator("sqrt2", *DEFAULT_ENCLOSURES["sqrt2"]),
+            Generator("sqrt2", *CONVERGENT_BRACKETS["sqrt2"]),
         ]
     ),
     # wide brackets, one negative, so that overlapping pairs are common
@@ -487,7 +487,7 @@ def kernel_pairs(draw):
 @example((LinExpr(KERNEL_TABLES[1], {1: Fraction(-3, 7)}), LinExpr(KERNEL_TABLES[1])))
 @example((LinExpr(KERNEL_TABLES[2], {1: 1}), LinExpr(KERNEL_TABLES[2], {0: -3})))  # ambiguous
 @example((LinExpr(KERNEL_TABLES[2], {0: 2}), LinExpr(KERNEL_TABLES[2], {1: 1})))  # touching
-# sqrt2 - 14142135623730/10^13 > 0, inside the built-in bracket's width
+# sqrt2 - 14142135623730/10^13 > 0, inside the convergent bracket's width
 @example((LinExpr(KERNEL_TABLES[0], {1: 1}), LinExpr(KERNEL_TABLES[0], {0: Fraction(14142135623730, 10**13)})))
 def test_kernel_matches_termwise_fraction_reference(pair):
     a, b = pair

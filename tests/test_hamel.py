@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from sqtile import (
     AmbiguousComparison,
-    Contradiction,
     Generator,
     GeneratorTable,
     InvalidTiling,
@@ -63,6 +62,15 @@ def test_x_area_examples():
     assert x_area(q2(1), q2(2, 1), -3) == -1
     with pytest.raises(ValueError, match=r"1\*sqrt3 involves generators outside \{1, sqrt2\}"):
         x_area(parse_expr("1*sqrt3", tight_table(2, 3)), q2(1), 1)
+
+
+def test_x_area_over_a_table_without_sqrt2():
+    """Rational sides and x over a table that holds no sqrt2 give the
+    rational product, over the table of w."""
+    for table in (GeneratorTable(), tight_table(7)):
+        w, h, x = (LinExpr.constant(table, v) for v in (2, 3, 5))
+        area = x_area(w, h, x)
+        assert (area, area.table) == (LinExpr.constant(table, 6), table)
 
 
 def test_x_area_nonneg_examples():
@@ -215,14 +223,14 @@ def test_analyze_rational_target_with_exact_cover():
     analysis = analyze_good_squares(sides, q2(2), q2(3))
     assert analysis.A == 6 and analysis.B == 0 and analysis.C == 0
     assert analysis.area_identity_holds
-    assert analysis.contradiction is Contradiction.NONE
+    assert analysis.as_dict()["contradiction"] == "none"
 
 
 def test_analyze_irrational_target_rational_sides():
     sides = [q2(Fraction(1, 2)), q2(Fraction(3, 4))]
     analysis = analyze_good_squares(sides, q2(1), SQRT2)
     assert not analysis.area_identity_holds
-    assert analysis.contradiction is Contradiction.AREA_MISMATCH
+    assert analysis.as_dict()["contradiction"] == "area_mismatch"
 
 
 def test_analyze_identity_with_nonnegative_conjugate():
@@ -231,7 +239,7 @@ def test_analyze_identity_with_nonnegative_conjugate():
     s = q2(1, 1)
     analysis = analyze_good_squares([s], s, s)
     assert analysis.area_identity_holds
-    assert analysis.contradiction is Contradiction.NONE
+    assert analysis.as_dict()["contradiction"] == "none"
 
 
 def test_analyze_empty_sides_rejected():
@@ -242,7 +250,7 @@ def test_analyze_empty_sides_rejected():
 @given(st.lists(sqrt2nums, min_size=1, max_size=8))
 def test_analyze_never_none_for_one_by_one_plus_sqrt2(sides):
     analysis = analyze_good_squares(sides, q2(1), q2(1, 1))
-    assert analysis.contradiction is not Contradiction.NONE
+    assert analysis.as_dict()["contradiction"] != "none"
     assert analysis.A >= 0 and analysis.B >= 0
     # the conjugate square area sum((a_i - b_i*sqrt2)^2) is never negative,
     # so it can never equal the target's conjugate area 1 - sqrt2

@@ -25,10 +25,10 @@ from sqtile import (
     validate,
 )
 
-from sqtile.cli import DEFAULT_ENCLOSURES, build_tiling, parse_document
+from sqtile.cli import build_tiling, parse_document
 from sqtile.exactnum import MAX_GENERATORS, Value, certified_order
 
-from conftest import BOUWKAMP_CODES, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
+from conftest import BOUWKAMP_CODES, CONVERGENT_BRACKETS, bouwkamp_tiling, guillotine_tiling, tight_table, workloads
 from test_validate_reference import reference_validate
 
 
@@ -267,13 +267,13 @@ def test_certified_order_is_the_cmp_order(monkeypatch):
 
 
 def test_validate_confirms_overlapping_neighbours_by_cmp(monkeypatch):
-    """Under the built-in sqrt2 bracket, about 1.9e-12 wide, the x cuts
+    """Under the convergent sqrt2 bracket, about 1.9e-12 wide, the x cuts
     9*sqrt2 + p/q and 10*sqrt2 for the convergent p/q = 275807/195025 of
     sqrt2 have overlapping enclosures, but their difference sqrt2 - p/q,
     about 9.3e-12, is certified positive.  ``validate`` confirms that
     neighbouring pair with one ``cmp`` call and keeps the certified
     order; its reports are the reference validator's."""
-    table = GeneratorTable([Generator("sqrt2", *DEFAULT_ENCLOSURES["sqrt2"])])
+    table = GeneratorTable([Generator("sqrt2", *CONVERGENT_BRACKETS["sqrt2"])])
     e = lambda s: parse_expr(s, table)
     zero, cut, outer = e("0"), e("9*sqrt2 + 275807/195025"), e("10*sqrt2")
     assert outer.eval_interval()[0] < cut.eval_interval()[1]
