@@ -63,12 +63,11 @@ def _expect(cond, message, **loc):
 def parse_document(text) -> dict:
     """Parse document text (bytes or str) into its canonical JSON object:
     ``{"generators": [{"symbol", "lo", "hi"}], "outer": {"w", "h"},
-    "tiles": [{"x", "y", "w", "h"}]}`` in that key order, with the
-    computed bracket of each root declared without one filled in.
+    "tiles": [{"x", "y", "w", "h"}]}`` in that key order; a generator
+    declared without ``lo`` and ``hi`` stays ``{"symbol"}``.
 
-    Checks the JSON schema and the generator declarations; expression
-    strings are validated later, against the built table, by
-    :func:`build_tiling`.
+    Checks the JSON shape only; symbols, brackets and expression strings
+    are checked later, against the built table, by :func:`build_tiling`.
     """
     if isinstance(text, bytes):
         try:
@@ -95,18 +94,16 @@ def parse_document(text) -> dict:
     gens = []
     for i, g in enumerate(gens_raw):
         _expect(isinstance(g, dict), f"generators[{i}] must be an object")
+        unknown = set(g) - {"symbol", "lo", "hi"}
+        _expect(not unknown, f"generators[{i}] has unknown keys {clip(str(sorted(unknown)))}")
         _expect("symbol" in g, f"generators[{i}] is missing 'symbol'")
         symbol = g["symbol"]
         _expect(isinstance(symbol, str), f"generators[{i}].symbol must be a string")
         if "lo" in g or "hi" in g:
             _expect("lo" in g and "hi" in g, f"generator {clip(symbol, repr)} needs both lo and hi")
-            lo, hi = g["lo"], g["hi"]
-        else:  # a sqrtN takes its computed bracket; any other symbol is refused
-            root = Generator(symbol)
-            lo, hi = rational_text(root.lo), rational_text(root.hi)
-        _expect(isinstance(lo, str) and isinstance(hi, str),
-                f"generator {clip(symbol, repr)} enclosure bounds must be rational strings")
-        gens.append({"symbol": symbol, "lo": lo, "hi": hi})
+            _expect(isinstance(g["lo"], str) and isinstance(g["hi"], str),
+                    f"generator {clip(symbol, repr)} enclosure bounds must be rational strings")
+        gens.append({k: g[k] for k in ("symbol", "lo", "hi") if k in g})  # build_tiling brackets a bare one
 
     _expect("outer" in raw, "document is missing 'outer'")
     outer = raw["outer"]
@@ -150,10 +147,14 @@ def build_tiling(doc: dict, overrides=()):
 
     ``overrides`` are Generator objects that replace or extend the
     declared enclosures (the retry path after an ambiguous comparison).
+    Each declaration's Generator is built here, once; without a bracket
+    and an override, a ``sqrtN`` takes its computed bracket and any other
+    symbol is refused.
     Each distinct expression text is parsed once, in document order, so
     equal texts share one LinExpr and one cached enclosure.
     """
-    decls = [(g["symbol"], parse_rational(g["lo"]), parse_rational(g["hi"])) for g in doc["generators"]]
+    bound = lambda g, k: parse_rational(g[k]) if k in g else None  # None: the root's computed bracket
+    decls = [(g["symbol"], bound(g, "lo"), bound(g, "hi")) for g in doc["generators"]]
     table = _table(decls, overrides)
     compiled = {}
 

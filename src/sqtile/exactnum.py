@@ -307,7 +307,8 @@ class LinExpr(Value):
 
     @classmethod
     def constant(cls, table: GeneratorTable, value) -> "LinExpr":
-        return cls(table, {0: _as_fraction(value)})
+        q = _as_fraction(value)
+        return cls._trusted(table, q.denominator, (q.numerator,) + (0,) * (len(table._brackets) - 1))
 
     @classmethod
     def zero(cls, table: GeneratorTable) -> "LinExpr":

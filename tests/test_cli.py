@@ -108,11 +108,12 @@ def test_parse_document_schema_errors():
         parse_document(b'{"outer": {"w": "1", "h": "1"}, "tiles": []}')  # empty tiles
     with pytest.raises(DocumentError):
         parse_document(b'{"tiles": [{"x":"0","y":"0","w":"1","h":"1"}]}')  # no outer
-    with pytest.raises(DocumentError):
-        parse_document(
+    with pytest.raises(DocumentError) as info:  # refused when the table is built
+        build_tiling(parse_document(
             b'{"generators": [{"symbol": "g"}], "outer": {"w": "1", "h": "1"},'
             b' "tiles": [{"x":"0","y":"0","w":"1","h":"1"}]}'
-        )  # unknown symbol has no default enclosure
+        ))
+    assert str(info.value) == "generator 'g' has no enclosure and no default is known"
     err = None
     try:
         parse_document(b'{\n  "outer": oops\n}')
@@ -136,19 +137,50 @@ def test_parse_document_schema_errors():
 
 
 def test_declared_known_symbol_gets_default_enclosure():
-    """Any root declared without a bracket gets its computed one, as text
-    in the canonical object, which round-trips."""
+    """Any root declared without a bracket stays without one in the
+    canonical object, which round-trips, and the built table gives it its
+    computed one."""
     for root in ("sqrt2", "sqrt7"):
         doc = parse_document(
             f'{{"generators": [{{"symbol": "{root}"}}],'
             f' "outer": {{"w": "1", "h": "1*{root}"}},'
             f' "tiles": [{{"x":"0","y":"0","w":"1","h":"1*{root}"}}]}}'
         )
-        g = doc["generators"][0]
-        assert (Fraction(g["lo"]), Fraction(g["hi"])) == (Generator(root).lo, Generator(root).hi)
+        assert doc["generators"] == [{"symbol": root}]
         assert parse_document(serialize_document(doc)) == doc
-        _, tiling = build_tiling(doc)
+        table, tiling = build_tiling(doc)
+        assert table.generators == (Generator(root),)
         assert validate(tiling).is_valid
+
+
+def test_parse_document_refuses_unknown_generator_keys():
+    """A misspelled bracket is refused, not dropped for the computed one."""
+    good = '"outer": {"w": "1", "h": "1"}, "tiles": [{"x": "0", "y": "0", "w": "1", "h": "1"}]'
+    for gen, keys in (('{"symbol": "sqrt2", "low": "1", "high": "2"}', "['high', 'low']"),
+                      ('{"symbol": "g", "lo": "1", "hi": "2", "": 0}', "['']")):
+        with pytest.raises(DocumentError) as info:
+            parse_document(f'{{"generators": [{{"symbol": "sqrt3"}}, {gen}], {good}}}')
+        assert str(info.value) == f"generators[1] has unknown keys {keys}"
+    many = ", ".join(f'"k{i}": 0' for i in range(40))
+    with pytest.raises(DocumentError) as info:
+        parse_document(f'{{"generators": [{{"symbol": "g", {many}}}], {good}}}')
+    assert str(info.value) == "generators[0] has unknown keys ['k0', 'k1', 'k10', 'k11', 'k12', 'k13',... 270 characters"
+
+
+def test_parse_document_builds_no_generator(monkeypatch):
+    """Parsing Fig. 4 with both roots bare builds no Generator, and
+    building it builds exactly one per declaration."""
+    doc = json.loads((DATA / "fig4.tiling").read_text(encoding="utf-8"))
+    doc["generators"] = [{"symbol": g["symbol"]} for g in doc["generators"]]
+    built = []
+    init = Generator.__init__
+    monkeypatch.setattr(Generator, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    parsed = parse_document(json.dumps(doc))
+    assert built == []
+    table, tiling = build_tiling(parsed)
+    assert built == [("sqrt2", None, None), ("sqrt3", None, None)]
+    assert table.generators == (Generator("sqrt2"), Generator("sqrt3"))
+    assert validate(tiling).is_valid
 
 
 def test_zero_containing_enclosure_rejected():
@@ -1115,6 +1147,20 @@ def test_cli_generator_declared_only_by_gen_flag(tmp_path, capsys):
     assert code == 0
     assert svg == run(capsys, "render", declared)[1] == render_svg(parse_document(Path(declared).read_bytes()))
     assert svg.count("<rect") == 3
+    # declared without a bracket, g takes the flag's before anything brackets it
+    unbracketed = _write(tmp_path, "unbracketed.tiling", [("g",)], outer, tiles)
+    assert run(capsys, "validate", unbracketed, *gen) == (0, "validation: valid\n")
+    assert _input_error(capsys, "validate", unbracketed) == "generator 'g' has no enclosure and no default is known"
+
+
+def test_cli_document_with_a_9000_digit_root(tmp_path, capsys):
+    """A bare root is bracketed from its symbol, never through bracket
+    text, so an N past the 4,300-digit limit on integer text answers."""
+    root = "sqrt" + "7" * 9000
+    path = _write(tmp_path, "long.tiling", [(root,)], ("1", f"1*{root}"), [("0", "0", "1", f"1*{root}")])
+    assert run(capsys, "validate", path) == (0, "validation: valid\n")
+    code, out = run(capsys, "validate", path, "--format", "json")
+    assert (code, json.loads(out)) == (0, {"command": "validate", "exit_code": 0, "verdict": "valid", "failures": []})
 
 
 def test_cli_render_invalid_document(tmp_path, capsys):

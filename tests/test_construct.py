@@ -10,12 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqtile import (
+    LinExpr,
     additivity_check,
     continued_fraction,
     euclid_tiling,
     extract_basis,
     validate,
 )
+from sqtile.cli import document_from_tiling
 
 from conftest import rand_fraction
 
@@ -114,3 +116,17 @@ def test_euclid_tiling_additivity_with_trivial_basis():
         basis = extract_basis(t.side_lengths())
         ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
         assert additivity_check(t, basis, ys)
+
+
+def test_euclid_tiling_builds_constants_in_stored_form(monkeypatch):
+    """Constants take the stored form directly, not the generic
+    constructor's one Fraction per generator and lcm."""
+
+    def generic(*_):
+        raise AssertionError("LinExpr.__init__ called")
+
+    monkeypatch.setattr(LinExpr, "__init__", generic)
+    t = euclid_tiling(1, Fraction(13, 8))
+    doc = document_from_tiling(t)
+    assert doc["outer"] == {"w": "1", "h": "13/8"}
+    assert [tile["w"] for tile in doc["tiles"]] == ["1", "5/8", "3/8", "1/4", "1/8", "1/8"]
